@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -97,109 +99,208 @@ def _sequence_records(cfg: RunConfig):
     return records
 
 
-def _dataset_rows(label: str, basis_index, ds: DecayDataset):
-    j_text = "" if basis_index is None else str(basis_index)
-    for n, row_id, bin_id, mean in ds.to_rows():
-        yield (label, j_text, _format_length(n), row_id, str(bin_id), repr(mean))
+def _csv_prefixes(rows) -> list:
+    """Each row's fields plus an empty last field, formatted by the csv
+    module's rules without the line terminator: ``role,j,n,tuple_id,``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for fields in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((*fields, ""))
+        out.append(buf.getvalue()[:-2])
+    return out
+
+
+def _write_bin_lines(f, prefixes: list, bins: np.ndarray) -> None:
+    """Write ``prefix + "bin_id,repr(mean)"`` for every bin of every row.
+
+    Bin means are ``k / bin_size``, so a group holds few distinct
+    (bin id, mean) pairs; each pair's text is formatted once.  Means are
+    told apart by bit pattern, so ``-0.0`` keeps its own ``repr``.
+    """
+    nb = bins.shape[1]
+    bits, value_index = np.unique(
+        np.ascontiguousarray(bins, dtype=float).view(np.int64), return_inverse=True
+    )
+    values = bits.view(float).tolist()
+    pairs, pair_index = np.unique(
+        value_index.reshape(bins.shape) * nb + np.arange(nb), return_inverse=True
+    )
+    tails = np.array(
+        [f"{code % nb},{values[code // nb]!r}\r\n" for code in pairs.tolist()],
+        dtype=object,
+    )
+    for prefix, row in zip(prefixes, tails[pair_index.reshape(bins.shape)].tolist()):
+        f.write(prefix + prefix.join(row))
 
 
 def _write_dataset_csv(path: Path, exp: Experiment, qpt: QptDataset | None) -> None:
+    """One line per bin: target, null and reference overlap rows by length,
+    then the tomography rows (see README, "``dataset.csv`` format")."""
+    decays = [(ds.label, str(j), ds) for j, ds in sorted(exp.datasets.items())]
+    decays += [(ds.label, str(j), ds) for j, ds in sorted((exp.null_datasets or {}).items())]
+    decays.append(("reference", "", exp.reference))
     with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(DATASET_HEADER)
-        for j in sorted(exp.datasets):
-            writer.writerows(_dataset_rows(exp.datasets[j].label, j, exp.datasets[j]))
-        if exp.null_datasets:
-            for j in sorted(exp.null_datasets):
-                writer.writerows(
-                    _dataset_rows(exp.null_datasets[j].label, j, exp.null_datasets[j])
-                )
-        writer.writerows(_dataset_rows("reference", None, exp.reference))
+        csv.writer(f).writerow(DATASET_HEADER)
+        for role, j_text, ds in decays:
+            for n in ds.lengths():
+                grp = ds.groups[n]
+                n_text = _format_length(n)
+                prefixes = _csv_prefixes((role, j_text, n_text, rid) for rid in grp.row_ids)
+                _write_bin_lines(f, prefixes, grp.bins)
         if qpt is not None:
-            for row in range(qpt.bins.shape[0]):
-                for bin_id in range(qpt.bins.shape[1]):
-                    writer.writerow(
-                        ("qpt", str(row), "1", f"row{row}", str(bin_id), repr(float(qpt.bins[row, bin_id])))
-                    )
+            rows = range(qpt.bins.shape[0])
+            prefixes = _csv_prefixes(("qpt", str(r), "1", f"row{r}") for r in rows)
+            _write_bin_lines(f, prefixes, qpt.bins)
+
+
+def _line_runs(f, where):
+    """Split the data lines of ``dataset.csv`` into runs of consecutive lines
+    that share the text before their last two fields.
+
+    Yields ``(first line number, prefix, bin texts, mean texts)``.  A line
+    with fewer than three comma-separated parts raises after the run before
+    it has been yielded, so errors surface in line order.
+    """
+    prefix, start, bin_texts, mean_texts = None, 0, [], []
+    for lineno, line in enumerate(f, start=2):
+        parts = line.rsplit(",", 2)
+        if len(parts) == 3 and parts[0] == prefix:
+            bin_texts.append(parts[1])
+            mean_texts.append(parts[2])
+            continue
+        if prefix is not None:
+            yield start, prefix, bin_texts, mean_texts
+        if len(parts) != 3:
+            fields = next(csv.reader([line]), [])
+            raise ConfigError(
+                f"expected {len(DATASET_HEADER)} fields, got {len(fields)}",
+                path=where(lineno),
+            )
+        prefix, start, bin_texts, mean_texts = parts[0], lineno, [parts[1]], [parts[2]]
+    if prefix is not None:
+        yield start, prefix, bin_texts, mean_texts
+
+
+@lru_cache(maxsize=None)
+def _bin_id_texts(nb: int) -> tuple:
+    return tuple(str(b) for b in range(nb))
+
+
+def _row_means(bin_texts, mean_texts, start, where) -> np.ndarray:
+    """One row's bin means.  Its bin ids must run 0, 1, 2, ... and every mean
+    must parse and lie in [0, 1]; otherwise the first faulty line is named.
+    Rows as the writer spells them take the fast check; any other row is
+    checked line by line."""
+    if tuple(bin_texts) == _bin_id_texts(len(bin_texts)):
+        try:
+            means = np.array(mean_texts, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.all((means >= 0.0) & (means <= 1.0)):
+                return means
+    for k, (bin_text, mean_text) in enumerate(zip(bin_texts, mean_texts)):
+        try:
+            bin_id = int(bin_text)
+            mean = float(mean_text.rstrip("\r\n"))
+        except ValueError as exc:
+            raise ConfigError(str(exc), path=where(start + k)) from exc
+        if not 0.0 <= mean <= 1.0:
+            raise ConfigError(f"bin mean {mean} outside [0, 1]", path=where(start + k))
+        if bin_id != k:
+            raise ConfigError(f"bin id {bin_id} where {k} was expected", path=where(start + k))
+    return np.array(mean_texts, dtype=float)
 
 
 def _read_dataset_csv(path: Path, cfg: RunConfig):
-    """Rebuild datasets (target, null, reference, qpt) from dataset.csv."""
-    grouped: dict = {}
+    """Rebuild datasets (target, null, reference, qpt) from dataset.csv.
+
+    The file is streamed: each row's ``role,j,n,tuple_id`` prefix is parsed
+    once and its bins are converted with one numpy call.  A wrong header or
+    field count, an unparsable number, a mean outside [0, 1], bin ids other
+    than 0, 1, 2, ... in order, a bin count that differs from the first row
+    of the same length, or a repeated row raises a ConfigError naming the
+    line.
+    """
+
+    def where(lineno: int) -> str:
+        return f"{path.name}:{lineno}"
+
+    decays: dict = {}  # (role, j text) -> {n: (row ids, per-row means)}
+    qpt_rows: list = []
+    seen: set = set()
     with path.open(newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if tuple(header or ()) != DATASET_HEADER:
-            raise ConfigError(f"unexpected header {header}", path=f"{path.name}:1")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(DATASET_HEADER):
+        header = next(csv.reader([f.readline()]), [])
+        if tuple(header) != DATASET_HEADER:
+            raise ConfigError(f"unexpected header {header}", path=where(1))
+        for start, prefix, bin_texts, mean_texts in _line_runs(f, where):
+            fields = next(csv.reader([prefix]), [])
+            if len(fields) != 4:
                 raise ConfigError(
-                    f"expected {len(DATASET_HEADER)} fields, got {len(row)}",
-                    path=f"{path.name}:{lineno}",
+                    f"expected {len(DATASET_HEADER)} fields, got {len(fields) + 2}",
+                    path=where(start),
                 )
-            role, j_text, n_text, tuple_id, bin_text, mean_text = row
+            role, j_text, n_text, tuple_id = fields
             try:
                 n = _parse_length(n_text)
-                bin_id = int(bin_text)
-                mean = float(mean_text)
             except ValueError as exc:
-                raise ConfigError(str(exc), path=f"{path.name}:{lineno}") from exc
-            if not 0.0 <= mean <= 1.0:
+                raise ConfigError(str(exc), path=where(start)) from exc
+            means = _row_means(bin_texts, mean_texts, start, where)
+            key = (role, j_text, n, tuple_id)
+            if key in seen:
+                raise ConfigError(f"repeated row {','.join(fields)}", path=where(start))
+            seen.add(key)
+            if role == "qpt":
+                r = len(qpt_rows)
+                if (j_text, n, tuple_id) != (str(r), 1, f"row{r}"):
+                    raise ConfigError(f"expected qpt row {r}", path=where(start))
+                rows = qpt_rows
+            else:
+                row_ids, rows = decays.setdefault((role, j_text), {}).setdefault(n, ([], []))
+                row_ids.append(tuple_id)
+            if rows and len(means) != len(rows[0]):
                 raise ConfigError(
-                    f"bin mean {mean} outside [0, 1]", path=f"{path.name}:{lineno}"
+                    f"{len(means)} bins where the first row of this length has {len(rows[0])}",
+                    path=where(start),
                 )
-            key = (role, j_text)
-            grouped.setdefault(key, {}).setdefault(n, {}).setdefault(tuple_id, {})[
-                bin_id
-            ] = mean
+            rows.append(means)
 
-    def build_decay(key, basis_index, label) -> DecayDataset:
-        groups = {}
-        for n, rows in grouped[key].items():
-            row_ids = list(rows)
-            nb = len(next(iter(rows.values())))
-            bins = np.empty((len(row_ids), nb))
-            for r, rid in enumerate(row_ids):
-                for b, mean in rows[rid].items():
-                    bins[r, b] = mean
-            groups[n] = LengthGroup(tuple(row_ids), bins)
+    def build_decay(role, j_text, basis_index) -> DecayDataset:
+        groups = {
+            n: LengthGroup(tuple(row_ids), np.array(rows))
+            for n, (row_ids, rows) in decays[(role, j_text)].items()
+        }
         return DecayDataset(
             basis_index=basis_index,
-            label=label,
+            label=role,
             shots=cfg.raw["shots"],
             bin_size=cfg.raw["bin_size"],
             seed=cfg.seed,
             groups=groups,
         )
 
-    name, unitary = resolve_target(cfg.target_spec())
-    datasets = {
-        j: build_decay((f"{name}/overlap-{j}", str(j)), j, f"{name}/overlap-{j}")
-        for j in range(1, 11)
-        if (f"{name}/overlap-{j}", str(j)) in grouped
-    }
-    null_datasets = None
-    if unitary is not None:
-        null_datasets = {
-            j: build_decay((f"null/overlap-{j}", str(j)), j, f"null/overlap-{j}")
+    def overlap_sets(name) -> dict:
+        return {
+            j: build_decay(f"{name}/overlap-{j}", str(j), j)
             for j in range(1, 11)
-            if (f"null/overlap-{j}", str(j)) in grouped
+            if (f"{name}/overlap-{j}", str(j)) in decays
         }
-    if ("reference", "") not in grouped:
+
+    name, unitary = resolve_target(cfg.target_spec())
+    datasets = overlap_sets(name)
+    null_datasets = overlap_sets("null") if unitary is not None else None
+    if ("reference", "") not in decays:
         raise ConfigError("reference rows missing", path=path.name)
-    reference = build_decay(("reference", ""), None, "reference")
+    reference = build_decay("reference", "", None)
     qpt = None
-    qpt_keys = [k for k in grouped if k[0] == "qpt"]
-    if qpt_keys:
-        rows = sorted(int(k[1]) for k in qpt_keys)
-        nb = len(grouped[("qpt", str(rows[0]))][1][f"row{rows[0]}"])
-        bins = np.empty((len(rows), nb))
-        for r in rows:
-            data = grouped[("qpt", str(r))][1][f"row{r}"]
-            for b, mean in data.items():
-                bins[r, b] = mean
+    if qpt_rows:
+        if len(qpt_rows) != 12:
+            raise ConfigError(f"expected 12 qpt rows, got {len(qpt_rows)}", path=path.name)
         qpt = QptDataset(
-            bins=bins,
+            bins=np.array(qpt_rows),
             shots=cfg.raw["shots"],
             bin_size=cfg.raw["bin_size"],
             seed=cfg.seed,
@@ -441,8 +542,9 @@ def _simulate_all(cfg: RunConfig):
     return exp, qpt
 
 
-def cmd_gen_sequences(cfg: RunConfig, out: Path, stage_in: Path) -> list:
+def cmd_gen_sequences(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     path = out / "sequences.json"
+    written.append(path)
     _write_json(
         path,
         {
@@ -451,89 +553,95 @@ def cmd_gen_sequences(cfg: RunConfig, out: Path, stage_in: Path) -> list:
             "datasets": _sequence_records(cfg),
         },
     )
-    return [path]
 
-def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path) -> list:
+
+def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     exp, qpt = _simulate_all(cfg)
     path = out / "dataset.csv"
+    written.append(path)
     _write_dataset_csv(path, exp, qpt)
-    return [path]
 
 
-def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path) -> list:
+def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     datasets, null_datasets, reference, _ = _read_dataset_csv(
         stage_in / "dataset.csv", cfg
     )
     fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
     path = out / "fits.json"
+    written.append(path)
     _write_json(path, _fits_json(cfg, fits, null_fits, boot))
     curves = out / "decay_curves.csv"
+    written.append(curves)
     _decay_curves_csv(curves, _labeled_fits(cfg, datasets, null_datasets, fits, null_fits), reference)
-    return [path, curves]
 
 
-def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path) -> list:
+def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     datasets, null_datasets, reference, _ = _read_dataset_csv(
         stage_in / "dataset.csv", cfg
     )
     fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
     payload = _reconstruction_json(cfg, fits, null_fits, boot)
     rec_path = out / "reconstruction.json"
+    written.append(rec_path)
     _write_json(rec_path, payload)
     hin_path = out / "hinton.csv"
+    written.append(hin_path)
     _hinton_csv(hin_path, np.array(payload["e_prime"]).reshape(4, 4))
-    return [rec_path, hin_path]
 
 
-def cmd_witness(cfg: RunConfig, out: Path, stage_in: Path) -> list:
+def cmd_witness(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     datasets, null_datasets, reference, qpt = _read_dataset_csv(
         stage_in / "dataset.csv", cfg
     )
     payload = _witness_json(cfg, datasets, null_datasets, reference, qpt)
     path = out / "witness.json"
+    written.append(path)
     _write_json(path, payload)
     fig5 = out / "negativity.csv"
+    written.append(fig5)
     name, _ = resolve_target(cfg.target_spec())
     _fig5_csv(fig5, payload, name)
-    return [path, fig5]
 
 
-def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path) -> list:
-    written = cmd_gen_sequences(cfg, out, stage_in)
+def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
+    cmd_gen_sequences(cfg, out, stage_in, written)
     exp, qpt = _simulate_all(cfg)
     ds_path = out / "dataset.csv"
-    _write_dataset_csv(ds_path, exp, qpt)
     written.append(ds_path)
+    _write_dataset_csv(ds_path, exp, qpt)
 
     fits, null_fits, boot = _compute_fits(
         cfg, exp.datasets, exp.null_datasets, exp.reference
     )
     fits_path = out / "fits.json"
+    written.append(fits_path)
     _write_json(fits_path, _fits_json(cfg, fits, null_fits, boot))
     curves_path = out / "decay_curves.csv"
+    written.append(curves_path)
     _decay_curves_csv(
         curves_path,
         _labeled_fits(cfg, exp.datasets, exp.null_datasets, fits, null_fits),
         exp.reference,
     )
-    written.extend([fits_path, curves_path])
 
     rec_payload = _reconstruction_json(cfg, fits, null_fits, boot)
     rec_path = out / "reconstruction.json"
+    written.append(rec_path)
     _write_json(rec_path, rec_payload)
     hin_path = out / "hinton.csv"
+    written.append(hin_path)
     _hinton_csv(hin_path, np.array(rec_payload["e_prime"]).reshape(4, 4))
-    written.extend([rec_path, hin_path])
 
     if cfg.raw.get("witness", {}).get("enabled", True):
         wit_payload = _witness_json(
             cfg, exp.datasets, exp.null_datasets, exp.reference, qpt
         )
         wit_path = out / "witness.json"
+        written.append(wit_path)
         _write_json(wit_path, wit_payload)
         fig5 = out / "negativity.csv"
+        written.append(fig5)
         _fig5_csv(fig5, wit_payload, exp.target_name)
-        written.extend([wit_path, fig5])
 
     qpt_superop = None
     if qpt is not None:
@@ -547,12 +655,11 @@ def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path) -> list:
         "fidelity": summary_table(exp, boot, qpt_superop),
     }
     sum_path = out / "summary.json"
-    _write_json(sum_path, summary)
     written.append(sum_path)
-    return written
+    _write_json(sum_path, summary)
 
 
-def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path) -> list:
+def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     from .groups import rotation_unitary
     from .pulses import (
         DuffingModel,
@@ -589,12 +696,12 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path) -> list:
                 infid_d = 1.0 - (float(np.tensordot(sfu(target_u), superop, axes=2)) + 2.0) / 6.0
                 rows.append(("duffing", dt, order, drag, infid_d, leakage))
     path = out / "pulse_scan.csv"
+    written.append(path)
     with path.open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("model", "dt", "order", "drag", "infidelity", "leakage"))
         for model_name, dt, order, drag, infid, leak in rows:
             writer.writerow((model_name, repr(dt), order, drag, repr(infid), repr(leak)))
-    return [path]
 
 
 COMMANDS = {
@@ -643,7 +750,7 @@ def main(argv=None) -> int:
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         stage_in = args.stage_input or out
-        written = COMMANDS[args.command](cfg, out, stage_in)
+        COMMANDS[args.command](cfg, out, stage_in, written)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         _cleanup(written)

@@ -124,14 +124,6 @@ class DecayDataset:
     def n_rows(self) -> int:
         return sum(g.n_rows for g in self.groups.values())
 
-    def to_rows(self):
-        """Flat (n, row_id, bin_id, mean) records in deterministic order."""
-        for n in self.lengths():
-            grp = self.groups[n]
-            for r, row_id in enumerate(grp.row_ids):
-                for b in range(grp.n_bins):
-                    yield n, row_id, b, float(grp.bins[r, b])
-
     def to_json_dict(self) -> dict:
         """JSON-ready form; infinite length is spelled "inf"."""
         return {

@@ -16,7 +16,8 @@ alternating form ``[C_a1, target, C_a2, target, ..., C_a(n+1)]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 
 from .groups import GroupTable, a4_table
@@ -193,11 +194,28 @@ def exhaustive_set(
     infinite-length surrogate.
 
     With the default repeat counts this yields 12 + 144 + 1,728 + 12 = 1,896
-    distinct sequences and 2,160 total runs per overlap experiment.
+    distinct sequences and 2,160 total runs per overlap experiment.  Sets on
+    the default table are built once per process; each call gets its own
+    ``repeats`` dict, and the sequences are immutable.
     """
-    table = table or a4_table()
     if repeats is None:
         repeats = dict(PAPER_REPEATS)
+    if table is not None:
+        return _build_exhaustive_set(basis_index, lengths, repeats, table, include_infinite)
+    shared = _default_exhaustive_set(
+        basis_index, tuple(lengths), frozenset(repeats.items()), include_infinite
+    )
+    return replace(shared, repeats=dict(shared.repeats))
+
+
+@lru_cache(maxsize=None)
+def _default_exhaustive_set(basis_index, lengths, repeat_items, include_infinite):
+    return _build_exhaustive_set(
+        basis_index, lengths, dict(repeat_items), a4_table(), include_infinite
+    )
+
+
+def _build_exhaustive_set(basis_index, lengths, repeats, table, include_infinite):
     seqs = []
     for n in lengths:
         n_rep = repeats.get(n, 1)

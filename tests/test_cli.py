@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rbtlab.cli import main
+from rbtlab import cli
+from rbtlab.cli import DATASET_HEADER, main
 from rbtlab.config import ConfigError, RunConfig
 
 TINY_CONFIG = {
@@ -44,6 +46,37 @@ def tiny_config(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def reference_dataset_csv(path, exp, qpt):
+    """Row-at-a-time writer that defines the dataset.csv bytes: csv.writer
+    rows of (role, j, n, tuple_id, bin_id, repr(mean))."""
+
+    def rows(role, j_text, ds):
+        for n in ds.lengths():
+            grp = ds.groups[n]
+            n_text = "inf" if math.isinf(n) else str(int(n))
+            for r, row_id in enumerate(grp.row_ids):
+                for b in range(grp.n_bins):
+                    yield (role, j_text, n_text, row_id, str(b), repr(float(grp.bins[r, b])))
+
+    with path.open("w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(DATASET_HEADER)
+        for j in sorted(exp.datasets):
+            writer.writerows(rows(exp.datasets[j].label, str(j), exp.datasets[j]))
+        for j in sorted(exp.null_datasets or {}):
+            writer.writerows(rows(exp.null_datasets[j].label, str(j), exp.null_datasets[j]))
+        writer.writerows(rows("reference", "", exp.reference))
+        if qpt is not None:
+            for row in range(qpt.bins.shape[0]):
+                for b in range(qpt.bins.shape[1]):
+                    writer.writerow(("qpt", str(row), "1", f"row{row}", str(b), repr(float(qpt.bins[row, b]))))
+
+
+@pytest.fixture
+def tiny_experiment():
+    return cli._simulate_all(RunConfig.from_dict(TINY_CONFIG))
 
 
 class TestConfig:
@@ -158,6 +191,72 @@ class TestStages:
 
     def test_missing_upstream_is_io_error(self, tiny_config, tmp_path):
         assert run_cli("fit", "--config", tiny_config, "--out", tmp_path / "empty") == 4
+
+    # Tiny dataset.csv: line 1 is the header, then 4 bins per row, so row 1 is
+    # lines 2-5 and row 2 is lines 6-9.
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda lines: lines[:6] + lines[7:], 7),  # bin 1 of row 2 missing
+            (lambda lines: lines[:2] + lines[3:], 3),  # bin 1 of row 1 missing
+            (lambda lines: lines[:9] + lines[1:5] + lines[9:], 10),  # row 1 repeated
+            (lambda lines: lines[:6] + [lines[7], lines[6]] + lines[8:], 7),  # bins swapped
+        ],
+        ids=["missing-bin-row-2", "missing-bin-row-1", "repeated-row", "swapped-bins"],
+    )
+    def test_malformed_bins_name_line(self, tiny_config, tmp_path, capsys, edit, line):
+        out = tmp_path / "out"
+        run_cli("simulate", "--config", tiny_config, "--out", out)
+        path = out / "dataset.csv"
+        lines = edit(path.read_text().splitlines())
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert run_cli("fit", "--config", tiny_config, "--out", out) == 2
+        assert f"dataset.csv:{line}:" in capsys.readouterr().err
+        assert not (out / "fits.json").exists()
+
+    def test_failed_pipeline_leaves_no_artifacts(self, tiny_config, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise cli.NumericalError("forced")
+
+        monkeypatch.setattr(cli, "_compute_fits", fail)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 3
+        assert list(out.iterdir()) == []
+
+
+class TestDatasetCsv:
+    def test_writer_matches_reference_bytes(self, tiny_experiment, tmp_path):
+        exp, qpt = tiny_experiment
+        # Means that are not multiples of 1/bin_size exercise repr.
+        exp.reference.groups[1].bins[0, :3] = [0.1 + 0.2, 1 / 3, 2 / 3]
+        qpt.bins[0, 0] = 1 / 7
+        cli._write_dataset_csv(tmp_path / "fast.csv", exp, qpt)
+        reference_dataset_csv(tmp_path / "reference.csv", exp, qpt)
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert b",0.30000000000000004\r\n" in data
+
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_round_trip(self, tiny_experiment, tmp_path, line_end):
+        exp, qpt = tiny_experiment
+        exp.datasets[2].groups[2].bins[3, 1] = 1 / 3
+        path = tmp_path / "dataset.csv"
+        cli._write_dataset_csv(path, exp, qpt)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", line_end))
+        datasets, null_datasets, reference, qpt_read = cli._read_dataset_csv(
+            path, RunConfig.from_dict(TINY_CONFIG)
+        )
+        pairs = [(exp.reference, reference)]
+        pairs += [(exp.datasets[j], datasets[j]) for j in exp.datasets]
+        pairs += [(exp.null_datasets[j], null_datasets[j]) for j in exp.null_datasets]
+        assert len(datasets) == len(null_datasets) == 10
+        for written, read in pairs:
+            assert written.label == read.label
+            assert written.groups.keys() == read.groups.keys()
+            for n, grp in written.groups.items():
+                assert read.groups[n].row_ids == grp.row_ids
+                assert np.array_equal(read.groups[n].bins, grp.bins)
+        assert np.array_equal(qpt_read.bins, qpt.bins)
 
 
 class TestErrors:

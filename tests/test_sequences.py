@@ -150,6 +150,14 @@ class TestExhaustiveSet:
         repeats = {s.repeat for s in ss.sequences if s.length == 1}
         assert repeats == set(range(12))
 
+    def test_default_table_sets_built_once_with_private_repeats(self):
+        first = exhaustive_set(4, lengths=(1, 2), repeats={1: 2})
+        first.repeats[1] = 99
+        again = exhaustive_set(4, lengths=(1, 2), repeats={1: 2})
+        assert again.sequences is first.sequences
+        assert again.repeats == {1: 2}
+        assert again == exhaustive_set(4, lengths=(1, 2), repeats={1: 2}, table=TABLE)
+
 
 class TestInfiniteSurrogate:
     def test_twelve_single_gate_sequences(self):

@@ -8,7 +8,6 @@ import numpy as np
 from rbtlab import NoiseModel, SpamModel, bootstrap, joint_fit, prony_seed
 from rbtlab.fitting import decay_to_overlap
 from rbtlab.pipeline import simulate_experiment
-from rbtlab.sampling import average_fidelity_curve
 
 # Hadamard overlap experiments under coherence-limited noise: the decays are
 # fast (|rate| near 1/3), some oscillatory, and each is fit jointly with the
@@ -19,7 +18,7 @@ spam = SpamModel.with_assignment_error(0.95)
 print("simulating a Hadamard overlap bundle (10 overlaps + reference) ...")
 exp = simulate_experiment("hadamard", noise, spam, shots=10_000, bin_size=100, seed=2)
 
-curve = average_fidelity_curve(exp.datasets[1])
+curve = exp.datasets[1].means()
 print("\noverlap-1 per-length means (oscillatory, rate near -1/3):")
 for n, mean in sorted(curve.items(), key=lambda kv: (np.isinf(kv[0]), kv[0])):
     print(f"  n={n}: {mean:.4f}")

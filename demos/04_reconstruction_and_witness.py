@@ -16,6 +16,7 @@ from rbtlab.pipeline import (
     qpt_witness_report,
     rbt_witness_report,
     simulate_experiment,
+    split_half_bootstrap,
     summary_table,
 )
 from rbtlab.reconstruction import corrected, reconstruct_unital
@@ -54,10 +55,8 @@ for method, entry in summary_table(exp, boot).items():
 # a nonnegative expectation; tomography rescaled with the wrong assignment
 # fidelity is certified nonphysical.
 print("\ncross-validated negativity witnesses:")
-report = rbt_witness_report(
-    exp.datasets, exp.reference, replications=2000, seed=4,
-    null_datasets=exp.null_datasets, variant="raw",
-)
+halves = split_half_bootstrap(exp.datasets, exp.reference, replications=2000, seed=4)
+report = rbt_witness_report(halves, variant="raw")
 print(f"  overlap tomography: expectation {report.expectation:+.5f} "
       f"CI [{report.ci[0]:+.5f}, {report.ci[1]:+.5f}]")
 

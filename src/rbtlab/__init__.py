@@ -52,7 +52,6 @@ from .sequences import (
 from .sampling import (
     DecayDataset,
     QptDataset,
-    average_fidelity_curve,
     sample_dataset,
     sample_qpt_dataset,
     survival_probability,

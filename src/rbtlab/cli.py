@@ -24,23 +24,24 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .fitting import FitResult
-from .pauli import superop_from_unitary, superop_to_list
+from .pauli import avg_fidelity, superop_to_list
 from .pipeline import (
     Experiment,
     ExperimentBootstrap,
     build_reconstruction,
     experiment_bootstrap,
     fit_overlaps,
-    overlaps_from_fits,
     percentile_ci,
     qpt_point_estimate,
     qpt_witness_report,
     rbt_witness_report,
     resolve_target,
     simulate_experiment,
+    split_half_bootstrap,
     summary_table,
 )
-from .reconstruction import corrected, hinton_records, reconstruct_unital
+# perfbench/tracer.py wraps cli.reconstruct_unital, so the name stays here.
+from .reconstruction import hinton_records, reconstruct_unital  # noqa: F401
 from .sampling import DecayDataset, LengthGroup, QptDataset, sample_qpt_dataset
 from .sequences import INFINITE, exhaustive_set
 from .witness import WitnessReport
@@ -221,13 +222,15 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
     The file is streamed: each row's ``role,j,n,tuple_id`` prefix is parsed
     once and its bins are converted with one numpy call.  A wrong header or
     field count, an unparsable number, a mean outside [0, 1], bin ids other
-    than 0, 1, 2, ... in order, a bin count that differs from the first row
-    of the same length, or a repeated row raises a ConfigError naming the
+    than 0, 1, 2, ... in order, a bin count other than the configuration's
+    ``shots // bin_size``, or a repeated row raises a ConfigError naming the
     line.
     """
 
     def where(lineno: int) -> str:
         return f"{path.name}:{lineno}"
+
+    n_bins = cfg.raw["shots"] // cfg.raw["bin_size"]
 
     decays: dict = {}  # (role, j text) -> {n: (row ids, per-row means)}
     qpt_rows: list = []
@@ -249,6 +252,11 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             except ValueError as exc:
                 raise ConfigError(str(exc), path=where(start)) from exc
             means = _row_means(bin_texts, mean_texts, start, where)
+            if len(means) != n_bins:
+                raise ConfigError(
+                    f"{len(means)} bins where shots // bin_size is {n_bins}",
+                    path=where(start),
+                )
             key = (role, j_text, n, tuple_id)
             if key in seen:
                 raise ConfigError(f"repeated row {','.join(fields)}", path=where(start))
@@ -261,11 +269,6 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             else:
                 row_ids, rows = decays.setdefault((role, j_text), {}).setdefault(n, ([], []))
                 row_ids.append(tuple_id)
-            if rows and len(means) != len(rows[0]):
-                raise ConfigError(
-                    f"{len(means)} bins where the first row of this length has {len(rows[0])}",
-                    path=where(start),
-                )
             rows.append(means)
 
     def build_decay(role, j_text, basis_index) -> DecayDataset:
@@ -332,7 +335,7 @@ def _fits_with_ci(fits, boot: ExperimentBootstrap | None, which: str):
         ci = None
         if boot is not None:
             rates = boot.rates if which == "target" else boot.null_rates
-            lo, hi = np.percentile(rates[:, col], [2.5, 97.5])
+            lo, hi = percentile_ci(rates[:, col])
             ci = {"rate": [float(lo), float(hi)]}
         out.append(_fit_payload(col + 1, fit, ci))
     return out
@@ -383,7 +386,7 @@ def _fits_json(cfg, fits, null_fits, boot) -> dict:
     return payload
 
 
-def _reconstruction_json(cfg, fits, null_fits, boot) -> dict:
+def _reconstruction_json(cfg, boot) -> dict:
     _, target_unitary = resolve_target(cfg.target_spec())
     rec = build_reconstruction(target_unitary, boot)
     mat_lo, mat_hi = percentile_ci(boot.unital)
@@ -399,15 +402,10 @@ def _reconstruction_json(cfg, fits, null_fits, boot) -> dict:
         "e_prime_ci_high": superop_to_list(mat_hi),
         "corrected_left": None,
         "corrected_right": None,
-        "fidelity": {
-            key: value if not isinstance(value, dict) else
-            {"estimate": value["estimate"], "ci": list(value["ci"])}
-            for key, value in rec.fidelity.items()
-        },
+        "fidelity": rec.fidelity,
     }
-    if rec.corrected_left is not None:
-        null_prime = reconstruct_unital(overlaps_from_fits(null_fits))
-        payload["null_e_prime"] = superop_to_list(null_prime)
+    if rec.null_unital is not None:
+        payload["null_e_prime"] = superop_to_list(rec.null_unital)
         payload["corrected_left"] = superop_to_list(rec.corrected_left)
         payload["corrected_right"] = superop_to_list(rec.corrected_right)
     return payload
@@ -417,19 +415,20 @@ def _witness_json(cfg, datasets, null_datasets, reference, qpt) -> dict:
     wcfg = cfg.raw.get("witness", {"enabled": True, "variants": ["raw"]})
     replications = cfg.raw["bootstrap"]["replications"]
     payload = {"config_hash": cfg.config_hash(), "rbt": {}, "qpt": None}
-    variants = wcfg.get("variants", ["raw"])
-    for variant in variants:
-        if variant != "raw" and not null_datasets:
-            continue
-        report = rbt_witness_report(
+    variants = [v for v in wcfg.get("variants", ["raw"]) if v == "raw" or null_datasets]
+    if variants:
+        # Null halves are split, fit and resampled only for corrected variants.
+        needs_null = any(v != "raw" for v in variants)
+        halves = split_half_bootstrap(
             datasets,
             reference,
             replications=replications,
             seed=cfg.seed,
-            null_datasets=null_datasets,
-            variant=variant,
+            null_datasets=null_datasets if needs_null else None,
         )
-        payload["rbt"][variant] = _witness_payload(report)
+        for variant in variants:
+            report = rbt_witness_report(halves, variant=variant)
+            payload["rbt"][variant] = _witness_payload(report)
     if qpt is not None:
         report = qpt_witness_report(
             qpt,
@@ -580,7 +579,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) ->
         stage_in / "dataset.csv", cfg
     )
     fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
-    payload = _reconstruction_json(cfg, fits, null_fits, boot)
+    payload = _reconstruction_json(cfg, boot)
     rec_path = out / "reconstruction.json"
     written.append(rec_path)
     _write_json(rec_path, payload)
@@ -624,7 +623,7 @@ def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
         exp.reference,
     )
 
-    rec_payload = _reconstruction_json(cfg, fits, null_fits, boot)
+    rec_payload = _reconstruction_json(cfg, boot)
     rec_path = out / "reconstruction.json"
     written.append(rec_path)
     _write_json(rec_path, rec_payload)
@@ -670,7 +669,6 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> 
         simulate_qubit,
         unitary_infidelity,
     )
-    from .pauli import superop_from_unitary as sfu
 
     pcfg = cfg.raw["pulse_scan"]
     target_axis = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -693,7 +691,7 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> 
                 superop, leakage = simulate_duffing(
                     pulse, model, drag=bool(drag), drag_coefficient=pcfg["drag_coefficient"]
                 )
-                infid_d = 1.0 - (float(np.tensordot(sfu(target_u), superop, axes=2)) + 2.0) / 6.0
+                infid_d = 1.0 - avg_fidelity(superop, target_u)
                 rows.append(("duffing", dt, order, drag, infid_d, leakage))
     path = out / "pulse_scan.csv"
     written.append(path)

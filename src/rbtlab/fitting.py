@@ -41,6 +41,7 @@ __all__ = [
     "decay_to_overlap",
     "resampled_means",
     "curve_arrays",
+    "percentile_ci",
 ]
 
 RATE_BOUNDS = (-1.0 / 3.0, 1.0)
@@ -51,6 +52,12 @@ _F_RTOL = 1e-12
 _G_TOL = 1e-12
 _FD_STEP = 1e-6
 _ARMIJO = 1e-4
+# Elements in one chunk of resample indices (2 MiB as int64).  numpy asks
+# the kernel for transparent huge pages for arrays of 4 MiB and more, and
+# the resident size of those depends on the host's free huge pages; keeping
+# the resample temporaries below that size keeps a bootstrap's peak memory
+# the same from run to run.
+_RESAMPLE_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -371,15 +378,20 @@ def resampled_means(
     ``samples_per_config`` bins drawn with replacement from its own bins
     (default: as many as it has); the per-length mean pools all draws.
     Returns a dict mapping length to a ``(replications,)`` array.
+
+    At most ``chunk`` replications are drawn at once, fewer when a chunk's
+    index would exceed ``_RESAMPLE_ELEMENTS``; the result does not depend
+    on the chunking.
     """
     out = {}
     for n, grp in ds.groups.items():
         rng = stream_generator(seed, stream_label, ds.label, str(n))
         rows, nb = grp.bins.shape
         draws = samples_per_config or nb
+        step = max(1, min(chunk, _RESAMPLE_ELEMENTS // (rows * draws)))
         means = np.empty(replications)
-        for start in range(0, replications, chunk):
-            stop = min(start + chunk, replications)
+        for start in range(0, replications, step):
+            stop = min(start + step, replications)
             idx = rng.integers(0, nb, size=(stop - start, rows, draws))
             means[start:stop] = grp.bins[
                 np.arange(rows)[None, :, None], idx
@@ -394,6 +406,25 @@ def _split_inf(means_by_length):
     y = np.stack([means_by_length[l] for l in fins], axis=1)
     inf_y = means_by_length.get(INFINITE)
     return n, y, inf_y
+
+
+def _refit(means_o: dict, means_r: dict, point: FitResult) -> dict:
+    """Joint refit of every replication of resampled overlap and reference
+    means (as returned by :func:`resampled_means`), warm-started from the
+    point estimate."""
+    n_o, y_o, inf_o = _split_inf(means_o)
+    n_r, y_r, inf_r = _split_inf(means_r)
+    u0 = np.tile(
+        _to_u(point.rate, point.ref_rate, point.scale, point.offset)[None, :],
+        (y_o.shape[0], 1),
+    )
+    return _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0)
+
+
+def percentile_ci(samples: np.ndarray, axis: int = 0):
+    """The (2.5%, 97.5%) percentile interval of ``samples`` along ``axis``."""
+    lo, hi = np.percentile(samples, [2.5, 97.5], axis=axis)
+    return lo, hi
 
 
 def bootstrap(
@@ -418,15 +449,9 @@ def bootstrap(
     means_r = resampled_means(
         reference, replications, seed, samples_per_config, "bootstrap-reference"
     )
-    n_o, y_o, inf_o = _split_inf(means_o)
-    n_r, y_r, inf_r = _split_inf(means_r)
-    u0 = np.tile(
-        _to_u(point.rate, point.ref_rate, point.scale, point.offset)[None, :],
-        (replications, 1),
-    )
-    res = _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0)
+    res = _refit(means_o, means_r, point)
     ci = {
-        name: tuple(np.percentile(res[name], [2.5, 97.5]))
+        name: percentile_ci(res[name])
         for name in ("rate", "ref_rate", "scale", "offset")
     }
     return dataclasses.replace(point, ci=ci)

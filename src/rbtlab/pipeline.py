@@ -12,26 +12,24 @@ reconstruction, so replication loops never leave numpy.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import NoiseModel, SpamModel
-from .fitting import _fit_many, _split_inf, _to_u, joint_fit, resampled_means
+from .fitting import _refit, joint_fit, percentile_ci, resampled_means
 from .groups import rotation_unitary
-from .pauli import superop_from_unitary
+from .pauli import avg_fidelity, superop_from_unitary, unital_part
 from .reconstruction import (
     OverlapVector,
     Reconstruction,
-    W_DECOMPOSITION,
     corrected,
     qpt_linear_inversion,
     reconstruct_unital,
     reconstruct_unital_batch,
     w_fidelity_direct,
 )
-from .sampling import DecayDataset, QptDataset, sample_dataset
+from .sampling import DecayDataset, QptDataset, sample_dataset, stream_generator
 from .sequences import PAPER_REPEATS, exhaustive_set
 from .witness import (
     WitnessReport,
@@ -48,12 +46,15 @@ __all__ = [
     "simulate_experiment",
     "fit_overlaps",
     "overlaps_from_fits",
+    "point_reconstructions",
     "ExperimentBootstrap",
     "experiment_bootstrap",
     "percentile_ci",
     "fidelity_samples",
     "w_direct_samples",
     "build_reconstruction",
+    "SplitHalves",
+    "split_half_bootstrap",
     "rbt_witness_report",
     "qpt_point_estimate",
     "qpt_witness_report",
@@ -118,10 +119,8 @@ class Experiment:
     def true_avg_fidelity(self) -> float:
         """Average fidelity of the simulated noisy target to its ideal gate."""
         if self.target_unitary is None:
-            chan = self.noise.per_gate_channel
-            return (float(np.trace(chan)) + 2.0) / 6.0
-        ideal = superop_from_unitary(self.target_unitary)
-        return (float(np.tensordot(ideal, self.applied_target_channel(), axes=2)) + 2.0) / 6.0
+            return avg_fidelity(self.noise.per_gate_channel, np.eye(2))
+        return avg_fidelity(self.applied_target_channel(), self.target_unitary)
 
 
 def _simulate_overlap_datasets(
@@ -215,9 +214,17 @@ def overlaps_from_fits(fits) -> np.ndarray:
     return np.array([1.0 + 3.0 * f.rate for f in fits])
 
 
-def percentile_ci(samples: np.ndarray, axis: int = 0):
-    lo, hi = np.percentile(samples, [2.5, 97.5], axis=axis)
-    return lo, hi
+def point_reconstructions(fits: list, null_fits: list | None = None) -> dict:
+    """Point reconstructions by variant: ``raw`` (the unital part) and, given
+    null-operation fits, ``null`` and the ``left``/``right`` corrected ones."""
+    unital = reconstruct_unital(overlaps_from_fits(fits))
+    out = {"raw": unital}
+    if null_fits is not None:
+        null_unital = reconstruct_unital(overlaps_from_fits(null_fits))
+        out["null"] = null_unital
+        out["left"] = corrected(unital, null_unital, side="left")
+        out["right"] = corrected(unital, null_unital, side="right")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +256,14 @@ class ExperimentBootstrap:
     def overlap_samples(self) -> np.ndarray:
         return 1.0 + 3.0 * self.rates
 
+    def stack(self, variant: str) -> np.ndarray | None:
+        """Reconstruction samples of a variant: ``raw``, ``left`` or ``right``."""
+        return {
+            "raw": self.unital,
+            "left": self.corrected_left,
+            "right": self.corrected_right,
+        }[variant]
+
 
 def _bootstrap_rates_for(
     datasets: dict,
@@ -258,19 +273,13 @@ def _bootstrap_rates_for(
     seed: int,
     samples_per_config: int | None,
 ):
-    n_r, y_r, inf_r = _split_inf(ref_resamples)
     rates = np.empty((replications, len(datasets)))
     ref_rates = np.empty((replications, len(datasets)))
     for col, j in enumerate(sorted(datasets)):
-        ds = datasets[j]
-        means = resampled_means(ds, replications, seed, samples_per_config, "bootstrap")
-        n_o, y_o, inf_o = _split_inf(means)
-        point = fits[col]
-        u0 = np.tile(
-            _to_u(point.rate, point.ref_rate, point.scale, point.offset)[None, :],
-            (replications, 1),
+        means = resampled_means(
+            datasets[j], replications, seed, samples_per_config, "bootstrap"
         )
-        res = _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0)
+        res = _refit(means, ref_resamples, fits[col])
         rates[:, col] = res["rate"]
         ref_rates[:, col] = res["ref_rate"]
     return rates, ref_rates
@@ -333,6 +342,11 @@ def fidelity_samples(stack: np.ndarray, target_unitary: np.ndarray) -> np.ndarra
     return (np.einsum("bij,ij->b", stack, ideal) + 2.0) / 6.0
 
 
+def _fidelity_entry(point: float, samples: np.ndarray) -> dict:
+    lo, hi = percentile_ci(samples)
+    return {"estimate": float(point), "ci": [float(lo), float(hi)]}
+
+
 def build_reconstruction(
     target_unitary: np.ndarray | None, boot: ExperimentBootstrap
 ) -> Reconstruction:
@@ -340,136 +354,121 @@ def build_reconstruction(
     overlap_point = overlaps_from_fits(boot.fits)
     lo, hi = percentile_ci(boot.overlap_samples())
     overlaps = OverlapVector(values=overlap_point, ci_low=lo, ci_high=hi)
-    unital = reconstruct_unital(overlap_point)
+    point = point_reconstructions(boot.fits, boot.null_fits)
     target_u = target_unitary if target_unitary is not None else np.eye(2, dtype=complex)
-    ideal = superop_from_unitary(target_u)
-
-    def entry(point_matrix, samples):
-        ci_lo, ci_hi = np.percentile(samples, [2.5, 97.5])
-        point = (float(np.tensordot(ideal, point_matrix, axes=2)) + 2.0) / 6.0
-        return {"estimate": point, "ci": (float(ci_lo), float(ci_hi))}
-
-    fidelity = {"raw": entry(unital, fidelity_samples(boot.unital, target_u))}
-    left = right = None
-    if boot.null_fits is not None:
-        null_unital = reconstruct_unital(overlaps_from_fits(boot.null_fits))
-        left = corrected(unital, null_unital, side="left")
-        right = corrected(unital, null_unital, side="right")
-        fidelity["left"] = entry(left, fidelity_samples(boot.corrected_left, target_u))
-        fidelity["right"] = entry(right, fidelity_samples(boot.corrected_right, target_u))
-        fidelity["null_condition_number"] = float(np.linalg.cond(null_unital))
+    fidelity = {
+        variant: _fidelity_entry(
+            avg_fidelity(point[variant], target_u),
+            fidelity_samples(boot.stack(variant), target_u),
+        )
+        for variant in ("raw", "left", "right")
+        if variant in point
+    }
+    if "null" in point:
+        fidelity["null_condition_number"] = float(np.linalg.cond(point["null"]))
     return Reconstruction(
-        unital=unital,
+        unital=point["raw"],
         overlaps=overlaps,
-        corrected_left=left,
-        corrected_right=right,
+        null_unital=point.get("null"),
+        corrected_left=point.get("left"),
+        corrected_right=point.get("right"),
         fidelity=fidelity,
     )
 
 
 def w_direct_samples(overlap_samples: np.ndarray) -> np.ndarray:
     """Three-overlap direct fidelity estimate per bootstrap replication."""
-    c1, c5, c6 = W_DECOMPOSITION
-    a_w = (
-        c1 * overlap_samples[:, 0]
-        + c5 * overlap_samples[:, 4]
-        + c6 * overlap_samples[:, 5]
-    )
-    return (a_w + 2.0) / 6.0
+    return w_fidelity_direct(*overlap_samples[:, [0, 4, 5]].T)
 
 
 # ---------------------------------------------------------------------------
 # Witness pipelines
 
 
-def _point_unital(datasets: dict, reference: DecayDataset):
-    fits = fit_overlaps(datasets, reference)
-    return fits, reconstruct_unital(overlaps_from_fits(fits))
+@dataclass(frozen=True)
+class SplitHalves:
+    """What every split-half witness variant is scored from.
+
+    ``first`` and ``second`` hold the point reconstructions of the first and
+    second halves (see :func:`point_reconstructions`); ``boot`` bootstraps
+    the second halves.  Corrected variants are present only when the halves
+    were built with null-operation data.
+    """
+
+    first: dict
+    second: dict
+    boot: ExperimentBootstrap
+    samples_per_config: int
 
 
-def _estimate_variant(datasets, reference, null_datasets, variant):
-    _, unital = _point_unital(datasets, reference)
-    if variant == "raw":
-        return unital
-    _, null_unital = _point_unital(null_datasets, reference)
-    return corrected(unital, null_unital, side=variant)
+def _halve(datasets: dict):
+    halves = {j: split_halves(ds) for j, ds in datasets.items()}
+    return {j: h[0] for j, h in halves.items()}, {j: h[1] for j, h in halves.items()}
 
 
-def _rbt_half2_bootstrap(
-    second: dict,
-    reference2: DecayDataset,
-    witness: np.ndarray,
-    replications: int,
-    seed: int,
-    samples_per_config: int | None,
-    null_second: dict | None,
-    variant: str,
-) -> WitnessReport:
-    """Resample the held-out halves, re-estimate, and score the fixed witness."""
-    e2 = _estimate_variant(second, reference2, null_second, variant)
-    expectation = evaluate_witness(witness, e2)
-    boot = experiment_bootstrap(
-        second,
-        reference2,
-        replications=replications,
-        seed=seed,
-        samples_per_config=samples_per_config,
-        null_datasets=None if variant == "raw" else null_second,
-    )
-    stack = {
-        "raw": boot.unital,
-        "left": boot.corrected_left,
-        "right": boot.corrected_right,
-    }[variant]
-    values = witness_expectation_batch(witness, stack)
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    some_group = next(iter(next(iter(second.values())).groups.values()))
-    return WitnessReport(
-        witness=witness,
-        expectation=float(expectation),
-        ci=(float(lo), float(hi)),
-        replications=replications,
-        samples_per_config=int(samples_per_config or some_group.n_bins),
-    )
-
-
-def rbt_witness_report(
+def split_half_bootstrap(
     datasets: dict,
     reference: DecayDataset,
     replications: int = 2000,
     seed: int = 0,
     null_datasets: dict | None = None,
-    variant: str = "raw",
-) -> WitnessReport:
+) -> SplitHalves:
+    """Split every dataset's bins in half, reconstruct both halves, and
+    bootstrap the second halves once for all witness variants.
+
+    Bootstrap streams are keyed by dataset label, and second-half labels end
+    in ``/half2`` whichever variant is scored, so one bootstrap serves the
+    raw and both corrected variants.
+    """
+    first, second = _halve(datasets)
+    ref1, ref2 = split_halves(reference)
+    null_first = null_second = null_fits1 = null_fits2 = None
+    if null_datasets is not None:
+        null_first, null_second = _halve(null_datasets)
+        null_fits1 = fit_overlaps(null_first, ref1)
+        null_fits2 = fit_overlaps(null_second, ref2)
+    boot = experiment_bootstrap(
+        second,
+        ref2,
+        replications=replications,
+        seed=seed,
+        null_datasets=null_second,
+        fits=fit_overlaps(second, ref2),
+        null_fits=null_fits2,
+    )
+    some_group = next(iter(next(iter(second.values())).groups.values()))
+    return SplitHalves(
+        first=point_reconstructions(fit_overlaps(first, ref1), null_fits1),
+        second=point_reconstructions(boot.fits, boot.null_fits),
+        boot=boot,
+        samples_per_config=int(some_group.n_bins),
+    )
+
+
+def rbt_witness_report(halves: SplitHalves, variant: str = "raw") -> WitnessReport:
     """Split-half cross-validated negativity witness for an overlap bundle.
 
     The first half of every configuration's bins fixes the witness; the
     second half estimates its expectation, with percentile confidence
     intervals from a bootstrap that resamples only the second half.
     ``variant`` selects the raw reconstruction or a left/right corrected one
-    (requires null-operation data).
+    (requires halves built with null-operation data).
     """
     if variant not in ("raw", "left", "right"):
         raise ValueError(f"unknown witness variant {variant!r}")
-    if variant != "raw" and null_datasets is None:
+    if variant not in halves.first:
         raise ValueError("corrected witness variants need null-operation data")
-
-    halves = {j: split_halves(ds) for j, ds in datasets.items()}
-    ref1, ref2 = split_halves(reference)
-    first = {j: h[0] for j, h in halves.items()}
-    second = {j: h[1] for j, h in halves.items()}
-    null_first = null_second = None
-    if null_datasets is not None:
-        null_halves = {j: split_halves(ds) for j, ds in null_datasets.items()}
-        null_first = {j: h[0] for j, h in null_halves.items()}
-        null_second = {j: h[1] for j, h in null_halves.items()}
-
-    e1 = _estimate_variant(first, ref1, null_first, variant)
+    e1 = halves.first[variant]
     witness = build_witness(e1)
-    report = _rbt_half2_bootstrap(
-        second, ref2, witness, replications, seed, None, null_second, variant
+    lo, hi = percentile_ci(witness_expectation_batch(witness, halves.boot.stack(variant)))
+    return WitnessReport(
+        witness=witness,
+        expectation=evaluate_witness(witness, halves.second[variant]),
+        ci=(float(lo), float(hi)),
+        replications=halves.boot.replications,
+        samples_per_config=halves.samples_per_config,
+        eig_multiplicity=eig_multiplicity(e1),
     )
-    return dataclasses.replace(report, eig_multiplicity=eig_multiplicity(e1))
 
 
 def qpt_point_estimate(ds: QptDataset, assumed_assignment_fidelity: float | None):
@@ -485,40 +484,6 @@ def _qpt_batch_invert(bins: np.ndarray, resample_idx, assumed_f):
     return out
 
 
-def _qpt_half2_bootstrap(
-    second: QptDataset,
-    witness: np.ndarray,
-    assumed_assignment_fidelity: float | None,
-    replications: int,
-    seed: int,
-    samples_per_config: int | None,
-) -> WitnessReport:
-    from .pauli import unital_part
-    from .sampling import stream_generator
-
-    e2 = unital_part(qpt_point_estimate(second, assumed_assignment_fidelity))
-    expectation = evaluate_witness(witness, e2)
-    nb = second.bins.shape[1]
-    draws = samples_per_config or nb
-    rng = stream_generator(seed, "bootstrap", second.label)
-    values = np.empty(replications)
-    chunk = 200
-    for start in range(0, replications, chunk):
-        stop = min(start + chunk, replications)
-        idx = rng.integers(0, nb, size=(stop - start, second.bins.shape[0], draws))
-        stack = _qpt_batch_invert(second.bins, idx, assumed_assignment_fidelity)
-        stack[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])  # unital part, batched
-        values[start:stop] = witness_expectation_batch(witness, stack)
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    return WitnessReport(
-        witness=witness,
-        expectation=float(expectation),
-        ci=(float(lo), float(hi)),
-        replications=replications,
-        samples_per_config=int(draws),
-    )
-
-
 def qpt_witness_report(
     ds: QptDataset,
     assumed_assignment_fidelity: float | None,
@@ -528,17 +493,33 @@ def qpt_witness_report(
     """Split-half negativity witness for a tomography dataset.
 
     The reconstruction under test is the unital part of the linear-inversion
-    estimate, mirroring the treatment of the overlap reconstructions.
+    estimate, mirroring the treatment of the overlap reconstructions.  Each
+    bootstrap replication resamples the second half's bins per input/observable
+    row and re-inverts; the witness fixed by the first half never changes.
     """
-    from .pauli import unital_part
-
     first, second = split_halves(ds)
     e1 = unital_part(qpt_point_estimate(first, assumed_assignment_fidelity))
     witness = build_witness(e1)
-    report = _qpt_half2_bootstrap(
-        second, witness, assumed_assignment_fidelity, replications, seed, None
+    e2 = unital_part(qpt_point_estimate(second, assumed_assignment_fidelity))
+    rows, nb = second.bins.shape
+    rng = stream_generator(seed, "bootstrap", second.label)
+    values = np.empty(replications)
+    chunk = 200
+    for start in range(0, replications, chunk):
+        stop = min(start + chunk, replications)
+        idx = rng.integers(0, nb, size=(stop - start, rows, nb))
+        stack = _qpt_batch_invert(second.bins, idx, assumed_assignment_fidelity)
+        stack[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])  # unital part, batched
+        values[start:stop] = witness_expectation_batch(witness, stack)
+    lo, hi = percentile_ci(values)
+    return WitnessReport(
+        witness=witness,
+        expectation=evaluate_witness(witness, e2),
+        ci=(float(lo), float(hi)),
+        replications=replications,
+        samples_per_config=nb,
+        eig_multiplicity=eig_multiplicity(e1),
     )
-    return dataclasses.replace(report, eig_multiplicity=eig_multiplicity(e1))
 
 
 # ---------------------------------------------------------------------------
@@ -553,44 +534,26 @@ def summary_table(
     qpt_superop: np.ndarray | None = None,
 ) -> dict:
     """Fidelity estimates with bootstrap CIs for every estimation route."""
-
-    def entry(point, samples):
-        lo, hi = np.percentile(samples, [2.5, 97.5])
-        return {"estimate": float(point), "ci": [float(lo), float(hi)]}
-
     fits = boot.fits
     ref_point = float(np.median([f.ref_rate for f in fits]))
     ref_samples = (1.0 + np.median(boot.ref_rates, axis=1)) / 2.0
     out = {
         "true_noisy_gate": exp.true_avg_fidelity(),
-        "rb_reference": entry((1.0 + ref_point) / 2.0, ref_samples),
+        "rb_reference": _fidelity_entry((1.0 + ref_point) / 2.0, ref_samples),
     }
-
-    target_u = exp.target_unitary
-    if target_u is None:
-        target_u = np.eye(2, dtype=complex)
-    point_unital = reconstruct_unital(overlaps_from_fits(fits))
-    ideal = superop_from_unitary(target_u)
-    out["rbt_raw"] = entry(
-        (float(np.tensordot(ideal, point_unital, axes=2)) + 2.0) / 6.0,
-        fidelity_samples(boot.unital, target_u),
-    )
-    if boot.corrected_left is not None:
-        null_point = reconstruct_unital(overlaps_from_fits(boot.null_fits))
-        for side, stack in (("left", boot.corrected_left), ("right", boot.corrected_right)):
-            point = corrected(point_unital, null_point, side=side)
-            out[f"rbt_corrected_{side}"] = entry(
-                (float(np.tensordot(ideal, point, axes=2)) + 2.0) / 6.0,
-                fidelity_samples(stack, target_u),
-            )
+    rec = build_reconstruction(exp.target_unitary, boot)
+    out["rbt_raw"] = rec.fidelity["raw"]
+    for side in ("left", "right"):
+        if side in rec.fidelity:
+            out[f"rbt_corrected_{side}"] = rec.fidelity[side]
     if qpt_superop is not None:
-        out["qpt"] = {
-            "estimate": (float(np.tensordot(ideal, qpt_superop, axes=2)) + 2.0) / 6.0,
-            "ci": None,
-        }
+        target_u = exp.target_unitary
+        if target_u is None:
+            target_u = np.eye(2, dtype=complex)
+        out["qpt"] = {"estimate": avg_fidelity(qpt_superop, target_u), "ci": None}
     if exp.target_name == "w":
         a = overlaps_from_fits(fits)
-        out["w_direct"] = entry(
+        out["w_direct"] = _fidelity_entry(
             w_fidelity_direct(a[0], a[4], a[5]),
             w_direct_samples(boot.overlap_samples()),
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupElement
-from .pauli import superop_from_unitary
+from .pauli import avg_fidelity
 
 __all__ = [
     "RotationSpec",
@@ -292,6 +292,4 @@ def atomic_pulse_for(
 def unitary_infidelity(u: np.ndarray, target: np.ndarray) -> float:
     """One minus the average gate fidelity between two 2x2 propagators; also
     valid for trace-decreasing blocks via the channel overlap formula."""
-    s = superop_from_kraus_block(np.asarray(u, dtype=complex))
-    t = superop_from_unitary(target)
-    return 1.0 - (float(np.tensordot(t, s, axes=2)) + 2.0) / 6.0
+    return 1.0 - avg_fidelity(superop_from_kraus_block(np.asarray(u, dtype=complex)), target)

@@ -73,13 +73,16 @@ class OverlapVector:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """A reconstructed unital channel with its corrections and fidelities."""
+    """A reconstructed unital channel with its corrections and fidelities;
+    ``null_unital`` is the null-operation reconstruction the corrections
+    invert."""
 
     unital: np.ndarray
     overlaps: OverlapVector
     corrected_left: np.ndarray | None = None
     corrected_right: np.ndarray | None = None
     fidelity: dict = field(default_factory=dict)
+    null_unital: np.ndarray | None = None
 
 
 def predictor_matrix(basis=None) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "sample_dataset",
     "DecayDataset",
     "LengthGroup",
-    "average_fidelity_curve",
     "QPT_INPUT_STATES",
     "QptDataset",
     "qpt_true_expectations",
@@ -206,15 +205,6 @@ def sample_dataset(
         seed=seed,
         groups=groups,
     )
-
-
-def average_fidelity_curve(ds: DecayDataset) -> dict:
-    """Per-length grand means over all randomizer tuples and bins.
-
-    With exhaustive sets this is the configuration-sampling-free estimate of
-    the sequence fidelity at each length.
-    """
-    return ds.means()
 
 
 # ---------------------------------------------------------------------------

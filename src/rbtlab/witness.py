@@ -26,7 +26,6 @@ __all__ = [
     "build_witness",
     "evaluate_witness",
     "witness_expectation_batch",
-    "witness_bootstrap",
     "eig_multiplicity",
 ]
 
@@ -100,36 +99,3 @@ def witness_expectation_batch(w: np.ndarray, superops: np.ndarray) -> np.ndarray
     quad = np.einsum("a,ijab,b->ij", w.conj(), _CHOI_BLOCKS, w)
     return np.real(np.einsum("bij,ij->b", np.asarray(superops, dtype=float), quad))
 
-
-def witness_bootstrap(
-    half2,
-    witness: np.ndarray,
-    replications: int = 2000,
-    seed: int = 0,
-    samples_per_config: int | None = None,
-    reference: DecayDataset | None = None,
-    null_half2: dict | None = None,
-    variant: str = "raw",
-    assumed_assignment_fidelity: float | None = None,
-) -> WitnessReport:
-    """Percentile confidence interval for a *fixed* witness on held-out data.
-
-    ``half2`` is either a dict of second-half overlap datasets (``reference``
-    required; ``null_half2`` for the corrected variants) or a second-half
-    tomography dataset.  Each replication resamples the held-out bins per
-    configuration and re-estimates the channel; the witness itself is never
-    rebuilt.
-    """
-    from . import pipeline
-
-    if isinstance(half2, QptDataset):
-        return pipeline._qpt_half2_bootstrap(
-            half2, witness, assumed_assignment_fidelity, replications, seed,
-            samples_per_config,
-        )
-    if reference is None:
-        raise ValueError("overlap-dataset bootstrap needs the reference decay")
-    return pipeline._rbt_half2_bootstrap(
-        half2, reference, witness, replications, seed, samples_per_config,
-        null_half2, variant,
-    )

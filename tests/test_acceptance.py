@@ -36,6 +36,7 @@ from rbtlab.pipeline import (
     qpt_witness_report,
     rbt_witness_report,
     simulate_experiment,
+    split_half_bootstrap,
     summary_table,
     w_direct_samples,
 )
@@ -295,15 +296,15 @@ def test_criterion_7_negativity_discrimination(depol_noise, spam_95, w_depol_run
         "hadamard", depol_noise, spam_95, shots=10_000, bin_size=100, seed=WITNESS_SEED
     )
     for exp, name in ((exp_h, "hadamard"), (w_depol_run, "w")):
+        halves = split_half_bootstrap(
+            exp.datasets,
+            exp.reference,
+            replications=2000,
+            seed=WITNESS_SEED,
+            null_datasets=exp.null_datasets,
+        )
         for variant in ("raw", "left"):
-            rep = rbt_witness_report(
-                exp.datasets,
-                exp.reference,
-                replications=2000,
-                seed=WITNESS_SEED,
-                null_datasets=exp.null_datasets,
-                variant=variant,
-            )
+            rep = rbt_witness_report(halves, variant=variant)
             gates_ok &= rep.ci[1] >= 0.0
             gates_ok &= rep.replications == 2000 and rep.samples_per_config == 50
             details.append(f"{name}/{variant} CI ({rep.ci[0]:+.4f},{rep.ci[1]:+.4f})")
@@ -314,10 +315,12 @@ def test_criterion_7_negativity_discrimination(depol_noise, spam_95, w_depol_run
         "identity", depol_noise, spam_95, shots=10_000, bin_size=100, seed=WITNESS_SEED
     )
     id_rep = rbt_witness_report(
-        exp_id.datasets,
-        exp_id.reference,
-        replications=2000,
-        seed=WITNESS_SEED,
+        split_half_bootstrap(
+            exp_id.datasets,
+            exp_id.reference,
+            replications=2000,
+            seed=WITNESS_SEED,
+        ),
         variant="raw",
     )
     identity_ok = id_rep.expectation < 0.0 and id_rep.ci[1] >= id_rep.expectation

@@ -21,7 +21,7 @@ TINY_CONFIG = {
     "repeats": {"1": 1, "inf": 1},
     "bootstrap": {"replications": 20, "samples_per_config": None},
     "qpt": {"enabled": True, "assumed_assignment_fidelity": 0.91},
-    "witness": {"enabled": True, "variants": ["raw", "left"]},
+    "witness": {"enabled": True, "variants": ["raw", "left", "right"]},
 }
 
 PIPELINE_FILES = [
@@ -214,6 +214,24 @@ class TestStages:
         assert f"dataset.csv:{line}:" in capsys.readouterr().err
         assert not (out / "fits.json").exists()
 
+    def test_bin_count_must_match_config(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("simulate", "--config", tiny_config, "--out", out)
+        # 400 shots in bins of 100 read under an 800-shot configuration: the
+        # first decay row already holds 4 bins where 8 are expected.
+        wider = tmp_path / "wider.json"
+        wider.write_text(json.dumps(dict(TINY_CONFIG, shots=800)))
+        for command in ("fit", "witness"):
+            assert run_cli(command, "--config", wider, "--out", out) == 2
+            assert "dataset.csv:2:" in capsys.readouterr().err
+        # The last tomography row loses its last bin; its first line is named.
+        path = out / "dataset.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        assert run_cli("witness", "--config", tiny_config, "--out", out) == 2
+        assert f"dataset.csv:{len(lines) - 3}:" in capsys.readouterr().err
+        assert not (out / "witness.json").exists()
+
     def test_failed_pipeline_leaves_no_artifacts(self, tiny_config, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise cli.NumericalError("forced")
@@ -222,6 +240,45 @@ class TestStages:
         out = tmp_path / "out"
         assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 3
         assert list(out.iterdir()) == []
+
+
+class TestWitnessStage:
+    @pytest.mark.parametrize(
+        "variants, n_resamples, n_fits",
+        [(["raw", "left", "right"], 21, 40), (["raw"], 11, 20)],
+        ids=["raw-left-right", "raw-only"],
+    )
+    def test_halves_resampled_and_fit_once(
+        self, tmp_path, monkeypatch, variants, n_resamples, n_fits
+    ):
+        # Second halves are resampled once (reference, target and, for the
+        # corrected variants, null overlaps) and every half is fit once,
+        # however many variants are scored.
+        from rbtlab import pipeline
+
+        config = tmp_path / "config.json"
+        witness = {"enabled": True, "variants": variants}
+        config.write_text(json.dumps(dict(TINY_CONFIG, witness=witness)))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", config, "--out", out) == 0
+        resamples, fits = [], []
+        resampled_means, joint_fit = pipeline.resampled_means, pipeline.joint_fit
+
+        def counted_resample(ds, *args, **kwargs):
+            resamples.append((ds.label, *args, *sorted(kwargs.items())))
+            return resampled_means(ds, *args, **kwargs)
+
+        def counted_fit(overlap, reference):
+            fits.append((overlap.label, reference.label))
+            return joint_fit(overlap, reference)
+
+        monkeypatch.setattr(pipeline, "resampled_means", counted_resample)
+        monkeypatch.setattr(pipeline, "joint_fit", counted_fit)
+        assert run_cli("witness", "--config", config, "--out", out) == 0
+        assert len(resamples) == len(set(resamples)) == n_resamples
+        assert len(fits) == len(set(fits)) == n_fits
+        touched = [key[0] for key in resamples] + [label for key in fits for label in key]
+        assert any(label.startswith("null/") for label in touched) == (variants != ["raw"])
 
 
 class TestDatasetCsv:

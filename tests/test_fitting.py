@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rbtlab import fitting
 from rbtlab.fitting import (
     AMPLITUDE_BOUNDS,
     RATE_BOUNDS,
@@ -211,9 +212,13 @@ class TestBootstrap:
         ratio = widths[100] / widths[10_000]
         assert 4.0 < ratio < 25.0
 
-    def test_resampled_means_deterministic_across_chunking(self):
+    def test_resampled_means_deterministic_across_chunking(self, monkeypatch):
         ds = synth_dataset(1 / 3, seed=61, label="chunk")
         a = resampled_means(ds, 150, seed=9, chunk=7)
         b = resampled_means(ds, 150, seed=9, chunk=64)
+        # An element budget below one replication's index: one per chunk.
+        monkeypatch.setattr(fitting, "_RESAMPLE_ELEMENTS", 1)
+        c = resampled_means(ds, 150, seed=9, chunk=64)
         for n in a:
             assert np.array_equal(a[n], b[n])
+            assert np.array_equal(a[n], c[n])

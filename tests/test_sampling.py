@@ -8,7 +8,6 @@ from rbtlab.groups import a4_elements, rotation_unitary
 from rbtlab.pauli import superop_from_unitary, unital_part
 from rbtlab.sampling import (
     QPT_INPUT_STATES,
-    average_fidelity_curve,
     qpt_true_expectations,
     sample_dataset,
     sample_qpt_dataset,
@@ -144,7 +143,7 @@ class TestFidelityCurve:
         spam = SpamModel.with_assignment_error(0.95)
         ss = exhaustive_set(2, lengths=(1, 2), repeats={})
         ds = sample_dataset(ss, a4_elements()[1].superop, IDEAL, spam, shots=300, bin_size=100, seed=3)
-        curve = average_fidelity_curve(ds)
+        curve = ds.means()
         for n in (1, 2):
             assert curve[n] == pytest.approx(0.95, abs=0.02)
 

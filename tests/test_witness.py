@@ -5,9 +5,12 @@ from rbtlab.channels import NoiseModel, SpamModel, depolarizing
 from rbtlab.groups import rotation_unitary
 from rbtlab.pauli import superop_from_unitary, unital_part
 from rbtlab.pipeline import (
+    fit_overlaps,
+    point_reconstructions,
     qpt_witness_report,
     rbt_witness_report,
     simulate_experiment,
+    split_half_bootstrap,
 )
 from rbtlab.sampling import sample_qpt_dataset
 from rbtlab.sequences import INFINITE
@@ -114,33 +117,31 @@ def _small_experiment(target, seed, lam=0.99, shots=400):
 class TestWitnessReports:
     def test_identity_report_deterministic(self):
         exp = _small_experiment("identity", seed=3)
-        a = rbt_witness_report(exp.datasets, exp.reference, replications=100, seed=5)
-        b = rbt_witness_report(exp.datasets, exp.reference, replications=100, seed=5)
+        a = rbt_witness_report(split_half_bootstrap(exp.datasets, exp.reference, 100, 5))
+        b = rbt_witness_report(split_half_bootstrap(exp.datasets, exp.reference, 100, 5))
         assert a.expectation == b.expectation
         assert a.ci == b.ci
         assert np.array_equal(a.witness, b.witness)
 
     def test_witness_never_rebuilt_during_bootstrap(self):
         exp = _small_experiment("identity", seed=4)
-        report = rbt_witness_report(exp.datasets, exp.reference, replications=50, seed=2)
+        report = rbt_witness_report(split_half_bootstrap(exp.datasets, exp.reference, 50, 2))
         first, _ = split_halves(exp.datasets[1])
         halves = {j: split_halves(ds)[0] for j, ds in exp.datasets.items()}
         ref1, _ = split_halves(exp.reference)
-        from rbtlab.pipeline import _point_unital
-
-        _, e1 = _point_unital(halves, ref1)
+        e1 = point_reconstructions(fit_overlaps(halves, ref1))["raw"]
         assert np.array_equal(report.witness, build_witness(e1))
 
     def test_corrected_variant_requires_null_data(self):
         exp = _small_experiment("identity", seed=5)
         with pytest.raises(ValueError, match="null"):
             rbt_witness_report(
-                exp.datasets, exp.reference, replications=10, seed=1, variant="left"
+                split_half_bootstrap(exp.datasets, exp.reference, 10, 1), variant="left"
             )
 
     def test_samples_per_config_is_half_the_bins(self):
         exp = _small_experiment("identity", seed=6)
-        report = rbt_witness_report(exp.datasets, exp.reference, replications=50, seed=2)
+        report = rbt_witness_report(split_half_bootstrap(exp.datasets, exp.reference, 50, 2))
         assert report.samples_per_config == 2  # 400 shots -> 4 bins -> halves of 2
 
     def test_qpt_mis_scaled_witness_ci_below_zero(self):
@@ -184,6 +185,6 @@ class TestWitnessReports:
 
         datasets = {j: exact_dataset(j, f"exact/{j}") for j in range(1, 11)}
         reference = exact_dataset(1, "exact/ref")
-        report = rbt_witness_report(datasets, reference, replications=100, seed=3)
+        report = rbt_witness_report(split_half_bootstrap(datasets, reference, 100, 3))
         assert report.ci[0] >= -1e-6
         assert report.ci[1] - report.ci[0] < 1e-9

@@ -41,7 +41,7 @@ from .pipeline import (
     summary_table,
 )
 # perfbench/tracer.py wraps cli.reconstruct_unital, so the name stays here.
-from .reconstruction import hinton_records, reconstruct_unital  # noqa: F401
+from .reconstruction import Reconstruction, hinton_records, reconstruct_unital  # noqa: F401
 from .sampling import DecayDataset, LengthGroup, QptDataset, sample_qpt_dataset
 from .sequences import INFINITE, exhaustive_set
 from .witness import WitnessReport
@@ -334,9 +334,12 @@ def _fits_with_ci(fits, boot: ExperimentBootstrap | None, which: str):
     for col, fit in enumerate(fits):
         ci = None
         if boot is not None:
-            rates = boot.rates if which == "target" else boot.null_rates
+            if which == "target":
+                rates, nonconverged = boot.rates, boot.nonconverged
+            else:
+                rates, nonconverged = boot.null_rates, boot.null_nonconverged
             lo, hi = percentile_ci(rates[:, col])
-            ci = {"rate": [float(lo), float(hi)]}
+            ci = {"rate": [float(lo), float(hi)], "nonconverged": int(nonconverged[col])}
         out.append(_fit_payload(col + 1, fit, ci))
     return out
 
@@ -386,9 +389,12 @@ def _fits_json(cfg, fits, null_fits, boot) -> dict:
     return payload
 
 
-def _reconstruction_json(cfg, boot) -> dict:
+def _reconstruction(cfg, boot) -> Reconstruction:
     _, target_unitary = resolve_target(cfg.target_spec())
-    rec = build_reconstruction(target_unitary, boot)
+    return build_reconstruction(target_unitary, boot)
+
+
+def _reconstruction_json(cfg, boot, rec: Reconstruction) -> dict:
     mat_lo, mat_hi = percentile_ci(boot.unital)
     payload = {
         "config_hash": cfg.config_hash(),
@@ -579,7 +585,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) ->
         stage_in / "dataset.csv", cfg
     )
     fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
-    payload = _reconstruction_json(cfg, boot)
+    payload = _reconstruction_json(cfg, boot, _reconstruction(cfg, boot))
     rec_path = out / "reconstruction.json"
     written.append(rec_path)
     _write_json(rec_path, payload)
@@ -623,7 +629,8 @@ def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
         exp.reference,
     )
 
-    rec_payload = _reconstruction_json(cfg, boot)
+    rec = _reconstruction(cfg, boot)
+    rec_payload = _reconstruction_json(cfg, boot, rec)
     rec_path = out / "reconstruction.json"
     written.append(rec_path)
     _write_json(rec_path, rec_payload)
@@ -651,7 +658,7 @@ def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "target": exp.target_name,
-        "fidelity": summary_table(exp, boot, qpt_superop),
+        "fidelity": summary_table(exp, boot, qpt_superop, rec),
     }
     sum_path = out / "summary.json"
     written.append(sum_path)

@@ -8,11 +8,12 @@ offset ``B`` across both curves; the figure of merit is the sum of the two
 curves' mean squared errors.  Infinite-length rows enter each curve as a
 direct observation of ``B``.
 
-The minimizer is a quasi-Newton (BFGS) descent with central-difference
-gradients.  Box constraints (rates in [-1/3, 1], scale and offset in [0, 1])
-are enforced by a logistic reparameterization, so estimates always lie
-strictly inside the box.  Fast decays are seeded by a ratio-of-differences
-estimate plus a {-1/3, 0, +1/3} multi-start; the best objective wins.
+The minimizer is a quasi-Newton (BFGS) descent on the closed-form gradient
+of the joint objective.  Box constraints (rates in [-1/3, 1], scale and
+offset in [0, 1]) are enforced by a logistic reparameterization, so
+estimates always lie strictly inside the box.  Fast decays are seeded by a
+ratio-of-differences estimate plus a {-1/3, 0, +1/3} multi-start; the best
+objective wins.
 
 Everything is vectorized over a batch axis so that the 2,000-replication
 non-parametric bootstrap refits run as array programs rather than Python
@@ -50,8 +51,12 @@ AMPLITUDE_BOUNDS = (0.0, 1.0)
 _MAX_ITER = 500
 _F_RTOL = 1e-12
 _G_TOL = 1e-12
-_FD_STEP = 1e-6
 _ARMIJO = 1e-4
+# Creep at a box edge: a relative improvement below _CREEP_RTOL with some
+# parameter past _EDGE_U on the logit scale, that is within 3.1e-7 of a
+# bound as a fraction of its box.
+_CREEP_RTOL = 1e-9
+_EDGE_U = 15.0
 # Elements in one chunk of resample indices (2 MiB as int64).  numpy asks
 # the kernel for transparent huge pages for arrays of 4 MiB and more, and
 # the resident size of those depends on the host's free huge pages; keeping
@@ -65,7 +70,8 @@ class FitResult:
     """Point estimates for one overlap/reference pair.
 
     ``ci`` maps parameter names to (2.5%, 97.5%) bootstrap percentiles once
-    :func:`bootstrap` has run.
+    :func:`bootstrap` has run, and ``nonconverged`` counts the bootstrap
+    refits that did not converge (they are kept in the percentiles).
     """
 
     rate: float
@@ -76,6 +82,7 @@ class FitResult:
     converged: bool
     degenerate_seed: bool = False
     ci: dict | None = None
+    nonconverged: int | None = None
 
 
 def prony_seed(values, eps: float = 1e-12):
@@ -132,6 +139,8 @@ def _to_u(p_j, p_ref, scale, offset) -> np.ndarray:
 
 
 def _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
+    """The joint objective of a batch of parameter rows and its closed-form
+    gradient, both called as ``f(u, rows)``."""
     n_o = np.asarray(n_o, dtype=np.int64)
     n_r = np.asarray(n_r, dtype=np.int64)
     k_o = n_o.size + (inf_o is not None)
@@ -141,7 +150,9 @@ def _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
     # passes explicit row indices when it compacts its active set.
     per_row = y_o.shape[0] > 1 or y_r.shape[0] > 1
 
-    def objective(u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def curves(u, rows):
+        """(rate, lengths, data, infinite-length data, weight) of both curves,
+        plus the shared scale and offset."""
         if per_row and rows is not None:
             yo, yr = y_o[rows], y_r[rows]
             io = None if inf_o is None else inf_o[rows]
@@ -149,31 +160,52 @@ def _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
         else:
             yo, yr, io, ir = y_o, y_r, inf_o, inf_r
         p_j, p_ref, scale, offset = _to_params(u)
-        model_o = scale[:, None] * p_j[:, None] ** n_o + offset[:, None]
-        sq_o = ((yo - model_o) ** 2).sum(axis=1)
-        if io is not None:
-            sq_o = sq_o + (io - offset) ** 2
-        model_r = scale[:, None] * p_ref[:, None] ** n_r + offset[:, None]
-        sq_r = ((yr - model_r) ** 2).sum(axis=1)
-        if ir is not None:
-            sq_r = sq_r + (ir - offset) ** 2
-        return sq_o / k_o + sq_r / k_r
+        return (
+            ((p_j, n_o, yo, io, k_o), (p_ref, n_r, yr, ir, k_r)),
+            scale,
+            offset,
+        )
 
-    return objective
+    def objective(u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        pair, scale, offset = curves(u, rows)
+        total = 0.0
+        for p, n, y, inf, k in pair:
+            model = scale[:, None] * p[:, None] ** n + offset[:, None]
+            sq = ((y - model) ** 2).sum(axis=1)
+            if inf is not None:
+                sq = sq + (inf - offset) ** 2
+            total = total + sq / k
+        return total
+
+    def gradient(u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        pair, scale, offset = curves(u, rows)
+        # Derivatives with respect to (rate, reference rate, scale, offset):
+        # each curve's residual r_n = A p^n + B - y_n contributes
+        # 2/k * sum r_n * (A n p^(n-1), p^n, 1), and an infinite-length row
+        # 2/k * (B - y_inf) to the offset.
+        grad = np.zeros_like(u)
+        for col, (p, n, y, inf, k) in enumerate(pair):
+            power = p[:, None] ** (n - 1)
+            resid = scale[:, None] * power * p[:, None] + offset[:, None] - y
+            grad[:, col] = scale * (resid * (n * power)).sum(axis=1) / k
+            grad[:, 2] += (resid * power * p[:, None]).sum(axis=1) / k
+            grad[:, 3] += resid.sum(axis=1) / k
+            if inf is not None:
+                grad[:, 3] += (offset - inf) / k
+        # Chain through the logistic box transform; beyond the clip the
+        # objective is flat, so those components are exactly zero.
+        z = expit(np.clip(u, -40.0, 40.0))
+        jac = z * (1.0 - z)
+        jac[:, :2] *= RATE_BOUNDS[1] - RATE_BOUNDS[0]
+        jac[np.abs(u) > 40.0] = 0.0
+        return 2.0 * grad * jac
+
+    return objective, gradient
 
 
-def _gradient(fun, u: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    grad = np.empty_like(u)
-    for d in range(u.shape[1]):
-        shift = np.zeros_like(u)
-        shift[:, d] = _FD_STEP
-        grad[:, d] = (fun(u + shift, rows) - fun(u - shift, rows)) / (2.0 * _FD_STEP)
-    return grad
-
-
-def _bfgs_box(fun, u0: np.ndarray):
+def _bfgs_box(fun, grad, u0: np.ndarray):
     """Batched BFGS with backtracking line search on the unconstrained
-    (logit-transformed) parameters.
+    (logit-transformed) parameters; ``grad`` is the gradient of ``fun``.
 
     Stops a batch row when the relative objective change drops below 1e-12,
     the gradient vanishes, or no improving step exists; rows still open after
@@ -187,7 +219,7 @@ def _bfgs_box(fun, u0: np.ndarray):
 
     u = u_out.copy()
     f = f_out.copy()
-    g = _gradient(fun, u, idx)
+    g = grad(u, idx)
     h = np.tile(np.eye(dim), (total, 1, 1))
     # Rows whose curvature estimate was just discarded; a stall is terminal
     # only if steepest descent cannot improve either.
@@ -196,7 +228,7 @@ def _bfgs_box(fun, u0: np.ndarray):
     for _ in range(_MAX_ITER):
         if idx.size == 0:
             break
-        direction = -np.einsum("bij,bj->bi", h, g)
+        direction = -(h @ g[:, :, None])[:, :, 0]
         slope = np.einsum("bi,bi->b", g, direction)
         bad = slope >= 0
         if bad.any():
@@ -221,7 +253,7 @@ def _bfgs_box(fun, u0: np.ndarray):
         trial_u[stalled] = u[stalled]
         trial_f[stalled] = f[stalled]
 
-        new_g = _gradient(fun, trial_u, idx)
+        new_g = grad(trial_u, idx)
         s = trial_u - u
         y = new_g - g
         sy = np.einsum("bi,bi->b", s, y)
@@ -235,14 +267,17 @@ def _bfgs_box(fun, u0: np.ndarray):
                 yy = np.einsum("bi,bi->b", y, y)
                 gamma = np.where(rescale & (yy > 0), sy / np.maximum(yy, 1e-300), 1.0)
                 h[rescale] *= gamma[rescale, None, None]
-            rho = np.zeros(idx.size)
-            rho[update] = 1.0 / sy[update]
-            eye = np.eye(dim)
-            left = eye - rho[:, None, None] * s[:, :, None] * y[:, None, :]
-            h_new = np.einsum("bij,bjk,blk->bil", left, h, left) + (
-                rho[:, None, None] * s[:, :, None] * s[:, None, :]
+            # (I - rho s y^T) H (I - rho y s^T) + rho s s^T as a rank-two update.
+            hu, su = h[update], s[update]
+            rho = 1.0 / sy[update]
+            hy = (hu @ y[update][:, :, None])[:, :, 0]
+            yhy = np.einsum("bi,bi->b", y[update], hy)
+            coef = rho * (1.0 + rho * yhy)
+            hu -= rho[:, None, None] * (
+                su[:, :, None] * hy[:, None, :] + hy[:, :, None] * su[:, None, :]
             )
-            h[update] = h_new[update]
+            hu += coef[:, None, None] * su[:, :, None] * su[:, None, :]
+            h[update] = hu
             fresh[update] = False
 
         delta = np.abs(f - trial_f)
@@ -252,6 +287,16 @@ def _bfgs_box(fun, u0: np.ndarray):
         done |= improved & (delta <= _F_RTOL * np.abs(trial_f) + 1e-30)
         done |= np.abs(new_g).max(axis=1) < _G_TOL
         retry = stalled & ~fresh & ~done
+        # A row creeping toward a box edge (deep in the logistic tail) gains
+        # almost nothing per step and would run out of iterations before
+        # either tolerance is met; a steepest-descent restart takes a step
+        # small enough for the objective test to end it.
+        retry |= (
+            improved
+            & ~done
+            & (delta < _CREEP_RTOL * np.abs(trial_f))
+            & (np.abs(trial_u).max(axis=1) > _EDGE_U)
+        )
         if retry.any():
             h[retry] = np.eye(dim)
             fresh[retry] = True
@@ -280,8 +325,8 @@ def _bfgs_box(fun, u0: np.ndarray):
 
 def _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0):
     """Solve one fit per row of ``u0`` against per-row data arrays."""
-    fun = _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r)
-    u, f, converged = _bfgs_box(fun, u0)
+    fun, grad = _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r)
+    u, f, converged = _bfgs_box(fun, grad, u0)
     p_j, p_ref, scale, offset = _to_params(u)
     return {
         "rate": p_j,
@@ -439,7 +484,8 @@ def bootstrap(
 
     Bins are resampled with replacement per experimental configuration, the
     joint fit is repeated on every replication (warm-started from the point
-    estimate), and 2.5%/97.5% percentiles are attached to the result.
+    estimate), and 2.5%/97.5% percentiles are attached to the result together
+    with the count of refits that did not converge.
     """
     if point is None:
         point = joint_fit(overlap, reference)
@@ -454,4 +500,6 @@ def bootstrap(
         name: percentile_ci(res[name])
         for name in ("rate", "ref_rate", "scale", "offset")
     }
-    return dataclasses.replace(point, ci=ci)
+    return dataclasses.replace(
+        point, ci=ci, nonconverged=int(np.count_nonzero(~res["converged"]))
+    )

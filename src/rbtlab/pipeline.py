@@ -236,7 +236,9 @@ class ExperimentBootstrap:
     """Per-replication samples of everything downstream of the fits.
 
     ``rates``/``null_rates`` have shape (replications, 10); reconstruction
-    stacks have shape (replications, 4, 4).
+    stacks have shape (replications, 4, 4).  ``nonconverged`` and
+    ``null_nonconverged`` count, per overlap, the replications whose refit
+    did not converge; those replications stay in every sample array.
     """
 
     fits: list
@@ -248,6 +250,8 @@ class ExperimentBootstrap:
     corrected_left: np.ndarray | None
     corrected_right: np.ndarray | None
     ref_rates: np.ndarray
+    nonconverged: np.ndarray
+    null_nonconverged: np.ndarray | None
 
     @property
     def replications(self) -> int:
@@ -275,6 +279,7 @@ def _bootstrap_rates_for(
 ):
     rates = np.empty((replications, len(datasets)))
     ref_rates = np.empty((replications, len(datasets)))
+    nonconverged = np.empty(len(datasets), dtype=np.int64)
     for col, j in enumerate(sorted(datasets)):
         means = resampled_means(
             datasets[j], replications, seed, samples_per_config, "bootstrap"
@@ -282,7 +287,8 @@ def _bootstrap_rates_for(
         res = _refit(means, ref_resamples, fits[col])
         rates[:, col] = res["rate"]
         ref_rates[:, col] = res["ref_rate"]
-    return rates, ref_rates
+        nonconverged[col] = np.count_nonzero(~res["converged"])
+    return rates, ref_rates, nonconverged
 
 
 def experiment_bootstrap(
@@ -306,17 +312,18 @@ def experiment_bootstrap(
     ref_resamples = resampled_means(
         reference, replications, seed, samples_per_config, "bootstrap"
     )
-    rates, ref_rates = _bootstrap_rates_for(
+    rates, ref_rates, nonconverged = _bootstrap_rates_for(
         exp_datasets, ref_resamples, fits, replications, seed, samples_per_config
     )
     unital = reconstruct_unital_batch(1.0 + 3.0 * rates)
     null_rates = None
+    null_nonconverged = None
     null_unital = None
     left = None
     right = None
     if null_datasets is not None:
         null_fits = null_fits or fit_overlaps(null_datasets, reference)
-        null_rates, _ = _bootstrap_rates_for(
+        null_rates, _, null_nonconverged = _bootstrap_rates_for(
             null_datasets, ref_resamples, null_fits, replications, seed, samples_per_config
         )
         null_unital = reconstruct_unital_batch(1.0 + 3.0 * null_rates)
@@ -333,6 +340,8 @@ def experiment_bootstrap(
         corrected_left=left,
         corrected_right=right,
         ref_rates=ref_rates,
+        nonconverged=nonconverged,
+        null_nonconverged=null_nonconverged,
     )
 
 
@@ -532,8 +541,13 @@ def summary_table(
     exp: Experiment,
     boot: ExperimentBootstrap,
     qpt_superop: np.ndarray | None = None,
+    rec: Reconstruction | None = None,
 ) -> dict:
-    """Fidelity estimates with bootstrap CIs for every estimation route."""
+    """Fidelity estimates with bootstrap CIs for every estimation route.
+
+    ``rec`` is the experiment's :func:`build_reconstruction`, built here when
+    the caller has none.
+    """
     fits = boot.fits
     ref_point = float(np.median([f.ref_rate for f in fits]))
     ref_samples = (1.0 + np.median(boot.ref_rates, axis=1)) / 2.0
@@ -541,7 +555,8 @@ def summary_table(
         "true_noisy_gate": exp.true_avg_fidelity(),
         "rb_reference": _fidelity_entry((1.0 + ref_point) / 2.0, ref_samples),
     }
-    rec = build_reconstruction(exp.target_unitary, boot)
+    if rec is None:
+        rec = build_reconstruction(exp.target_unitary, boot)
     out["rbt_raw"] = rec.fidelity["raw"]
     for side in ("left", "right"):
         if side in rec.fidelity:

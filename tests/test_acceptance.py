@@ -51,6 +51,10 @@ from rbtlab.sequences import INFINITE, exhaustive_set
 
 from conftest import random_unital_tp_superop
 
+# Paper-scale runs: most of the suite's time.  `pytest -m "not slow"` skips
+# them for a quick loop; a plain `pytest` still runs them.
+pytestmark = pytest.mark.slow
+
 
 def report(criterion: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"

@@ -146,6 +146,40 @@ class TestPipeline:
         for key in ("rb_reference", "rbt_raw", "rbt_corrected_left", "rbt_corrected_right", "qpt"):
             assert key in table
 
+    def test_fits_report_nonconverged_refits(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 0
+        payload = json.loads((out / "fits.json").read_text())
+        for fit in payload["target"] + payload["null"]:
+            assert fit["ci"]["nonconverged"] == 0
+
+    def test_reconstruction_built_once(self, tiny_config, tmp_path, monkeypatch):
+        from rbtlab import pipeline
+
+        calls = []
+        build = pipeline.build_reconstruction
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        # summary_table looks the builder up in pipeline, the commands in cli.
+        monkeypatch.setattr(cli, "build_reconstruction", counted)
+        monkeypatch.setattr(pipeline, "build_reconstruction", counted)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 0
+        assert len(calls) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == ["config_hash", "fidelity", "seed", "target"]
+        assert sorted(summary["fidelity"]) == [
+            "qpt",
+            "rb_reference",
+            "rbt_corrected_left",
+            "rbt_corrected_right",
+            "rbt_raw",
+            "true_noisy_gate",
+        ]
+
 
 class TestStages:
     def test_staged_equals_fused(self, tiny_config, tmp_path):

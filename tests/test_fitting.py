@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rbtlab import fitting
+from rbtlab.channels import NoiseModel, SpamModel
 from rbtlab.fitting import (
     AMPLITUDE_BOUNDS,
     RATE_BOUNDS,
@@ -12,6 +13,7 @@ from rbtlab.fitting import (
     prony_seed,
     resampled_means,
 )
+from rbtlab.pipeline import experiment_bootstrap, fit_overlaps, simulate_experiment
 from rbtlab.sampling import DecayDataset, LengthGroup, stream_generator
 from rbtlab.sequences import INFINITE
 
@@ -49,6 +51,17 @@ def synth_dataset(
             bins = gen.binomial(bin_size, offset, size=(1, n_bins)) / bin_size
         groups[INFINITE] = LengthGroup(("0",), bins)
     return DecayDataset(None, label, shots, bin_size, seed, groups)
+
+
+def means_dataset(means, inf_mean, label):
+    """A one-row, one-bin dataset holding the given per-length means at
+    lengths 1, 2, 3 and the infinite-length mean."""
+    groups = {
+        n: LengthGroup(("0",), np.full((1, 1), value))
+        for n, value in zip((1, 2, 3), means)
+    }
+    groups[INFINITE] = LengthGroup(("0",), np.full((1, 1), inf_mean))
+    return DecayDataset(None, label, 100, 100, 0, groups)
 
 
 class TestPronySeed:
@@ -159,12 +172,61 @@ class TestJointFit:
             errs[lengths] = float(np.mean(errors))
         assert errs[(1, 2, 3)] < errs[(1, 2)]
 
+    def test_rate_on_box_edge_converges(self):
+        # Noiseless means of a null-operation overlap whose rate sits on the
+        # box edge -1/3 (paper-scale data, configuration seed 1).  The fit
+        # ends within about 1e-8 of the edge, where each step gains almost
+        # nothing, and used to run out of iterations there.
+        over = means_dataset([0.35365625, 0.55218403, 0.48624375], 0.5027659722222222, "edge-o")
+        ref = means_dataset([0.94804931, 0.94610069, 0.94391661], 0.5030319444444444, "edge-r")
+        fit = joint_fit(over, ref)
+        assert fit.converged
+        assert fit.rate == pytest.approx(RATE_BOUNDS[0], abs=1e-6)
+
     def test_curve_arrays_shapes(self):
         ds = synth_dataset(0.5, noiseless=True)
         n, y, inf_y = curve_arrays(ds)
         assert list(n) == [1, 2, 3]
         assert y.shape == (3,)
         assert inf_y == pytest.approx(TRUE_OFFSET)
+
+
+class TestGradient:
+    LENGTHS = np.array([1, 2, 3])
+
+    def factory(self, rng, data_rows, with_inf):
+        y_o = rng.uniform(0.3, 0.9, size=(data_rows, 3))
+        y_r = rng.uniform(0.3, 0.9, size=(data_rows, 3))
+        inf_o = rng.uniform(0.4, 0.6, size=data_rows) if with_inf else None
+        inf_r = rng.uniform(0.4, 0.6, size=data_rows) if with_inf else None
+        return fitting._objective_factory(
+            self.LENGTHS, y_o, inf_o, self.LENGTHS, y_r, inf_r
+        )
+
+    @pytest.mark.parametrize("with_inf", [False, True], ids=["finite", "with-inf"])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per-row"])
+    def test_matches_central_difference(self, rng, per_row, with_inf):
+        # Per-row data are fit on a subset of their rows, as the minimizer
+        # does once some rows have converged; single-row data broadcast.
+        fun, grad = self.factory(rng, 12 if per_row else 1, with_inf)
+        rows = np.array([0, 3, 4, 7, 11])
+        u = rng.normal(0.0, 3.0, size=(rows.size, 4))
+        numeric = np.empty_like(u)
+        for d in range(4):
+            shift = np.zeros_like(u)
+            shift[:, d] = 1e-6
+            numeric[:, d] = (fun(u + shift, rows) - fun(u - shift, rows)) / 2e-6
+        np.testing.assert_allclose(grad(u, rows), numeric, rtol=0, atol=1e-8)
+
+    def test_zero_beyond_clip(self, rng):
+        fun, grad = self.factory(rng, 1, True)
+        u = rng.normal(0.0, 2.0, size=(6, 4))
+        u[0, 0], u[1, 1], u[2, 2], u[3, 3] = 41.0, -45.0, 60.0, -40.5
+        u[4, :] = [-50.0, 50.0, 41.0, -41.0]
+        g = grad(u, np.arange(6))
+        beyond = np.abs(u) > 40.0
+        assert np.all(g[beyond] == 0.0)
+        assert np.all(g[~beyond] != 0.0)
 
 
 class TestBootstrap:
@@ -222,3 +284,32 @@ class TestBootstrap:
         for n in a:
             assert np.array_equal(a[n], b[n])
             assert np.array_equal(a[n], c[n])
+
+    def test_counts_nonconverged_refits(self, monkeypatch):
+        over = synth_dataset(1 / 3, seed=71, label="nc-o")
+        ref = synth_dataset(TRUE_REF, seed=72, label="nc-r")
+        point = joint_fit(over, ref)
+        fit = bootstrap(over, ref, replications=40, seed=6, point=point)
+        assert fit.nonconverged == 0
+        monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+        capped = bootstrap(over, ref, replications=40, seed=6, point=point)
+        assert capped.nonconverged == 40
+        # The replications are kept: the percentiles are still reported.
+        assert np.all(np.isfinite(capped.ci["rate"]))
+
+    def test_experiment_bootstrap_counts_nonconverged_refits(self, monkeypatch):
+        noise = NoiseModel.depolarizing_model(0.99)
+        spam = SpamModel.with_assignment_error(0.95)
+        exp = simulate_experiment(
+            "hadamard", noise, spam, shots=400, bin_size=100, seed=8,
+            repeats={1: 1, INFINITE: 1},
+        )
+        fits = fit_overlaps(exp.datasets, exp.reference)
+        null_fits = fit_overlaps(exp.null_datasets, exp.reference)
+        monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+        boot = experiment_bootstrap(
+            exp.datasets, exp.reference, replications=12, seed=2,
+            null_datasets=exp.null_datasets, fits=fits, null_fits=null_fits,
+        )
+        assert boot.nonconverged.tolist() == [12] * 10
+        assert boot.null_nonconverged.tolist() == [12] * 10

@@ -3,20 +3,25 @@ witness, and pulse sweeps.
 
 Subcommands: ``pipeline``, ``gen-sequences``, ``simulate``, ``fit``,
 ``reconstruct``, ``witness``, ``pulse-scan``.  Stage commands reread the
-artifacts of an earlier run (``--stage-input``, defaulting to the output
+artifacts of an earlier stage (``--stage-input``, defaulting to the output
 directory) and reproduce exactly what the fused pipeline would have written
-on the same inputs.  Exit codes: 0 success, 2 configuration or artifact
-schema error, 3 numerical failure, 4 I/O error.
+on the same inputs: ``fit`` and ``witness`` read ``dataset.csv``, and
+``reconstruct`` reads the ``bootstrap.npz`` that ``fit`` wrote instead of
+refitting.  Exit codes: 0 success, 2 configuration or artifact schema error,
+3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
 import sys
+import zipfile
+import zlib
 from functools import lru_cache
 from pathlib import Path
 
@@ -49,6 +54,18 @@ from .witness import WitnessReport
 __all__ = ["main"]
 
 DATASET_HEADER = ("role", "j", "n", "tuple_id", "bin_id", "mean")
+OVERLAPS = range(1, 11)
+
+# FitResult's point-fit fields, stored in bootstrap.npz with these dtypes.
+FIT_FIELDS = {
+    "rate": np.float64,
+    "ref_rate": np.float64,
+    "scale": np.float64,
+    "offset": np.float64,
+    "objective": np.float64,
+    "converged": np.bool_,
+    "degenerate_seed": np.bool_,
+}
 
 
 class NumericalError(RuntimeError):
@@ -224,7 +241,8 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
     field count, an unparsable number, a mean outside [0, 1], bin ids other
     than 0, 1, 2, ... in order, a bin count other than the configuration's
     ``shots // bin_size``, or a repeated row raises a ConfigError naming the
-    line.
+    line.  A design other than the configuration's (see
+    :func:`_check_design`) raises one naming the dataset and the length.
     """
 
     def where(lineno: int) -> str:
@@ -285,23 +303,15 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             groups=groups,
         )
 
-    def overlap_sets(name) -> dict:
-        return {
-            j: build_decay(f"{name}/overlap-{j}", str(j), j)
-            for j in range(1, 11)
-            if (f"{name}/overlap-{j}", str(j)) in decays
-        }
-
     name, unitary = resolve_target(cfg.target_spec())
-    datasets = overlap_sets(name)
-    null_datasets = overlap_sets("null") if unitary is not None else None
-    if ("reference", "") not in decays:
-        raise ConfigError("reference rows missing", path=path.name)
+    _check_design(decays, qpt_rows, cfg, name, unitary is not None, path.name)
+    datasets = {j: build_decay(f"{name}/overlap-{j}", str(j), j) for j in OVERLAPS}
+    null_datasets = None
+    if unitary is not None:
+        null_datasets = {j: build_decay(f"null/overlap-{j}", str(j), j) for j in OVERLAPS}
     reference = build_decay("reference", "", None)
     qpt = None
     if qpt_rows:
-        if len(qpt_rows) != 12:
-            raise ConfigError(f"expected 12 qpt rows, got {len(qpt_rows)}", path=path.name)
         qpt = QptDataset(
             bins=np.array(qpt_rows),
             shots=cfg.raw["shots"],
@@ -309,9 +319,48 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             seed=cfg.seed,
             label="qpt",
         )
-    if len(datasets) != 10:
-        raise ConfigError("expected 10 target overlap datasets", path=path.name)
     return datasets, null_datasets, reference, qpt
+
+
+def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, name, has_null, where):
+    """Require the datasets the configuration implies: overlaps 1-10 of the
+    target, of the null operation exactly when the target has null data, and
+    the reference, each with ``12**n * repeats`` rows at every configured
+    length ``n`` and ``12 * repeats`` at ``inf``; and the 12 tomography rows
+    exactly when QPT is on for a target with null data."""
+    repeats = cfg.repeats()
+    rows_at = {n: 12**n * repeats.get(n, 1) for n in cfg.lengths()}
+    rows_at[INFINITE] = 12 * repeats.get(INFINITE, 1)
+    expected = [(f"{name}/overlap-{j}", str(j)) for j in OVERLAPS]
+    if has_null:
+        expected += [(f"null/overlap-{j}", str(j)) for j in OVERLAPS]
+    expected.append(("reference", ""))
+    for role, j_text in expected:
+        if (role, j_text) not in decays:
+            raise ConfigError(f"no rows for dataset {role}", path=where)
+        groups = decays[(role, j_text)]
+        for n, want in rows_at.items():
+            got = len(groups[n][0]) if n in groups else 0
+            if got != want:
+                raise ConfigError(
+                    f"dataset {role} has {got} rows at length {_format_length(n)}, "
+                    f"expected {want}",
+                    path=where,
+                )
+        extra = groups.keys() - rows_at.keys()
+        if extra:
+            raise ConfigError(
+                f"dataset {role} has rows at length {_format_length(min(extra))}, "
+                "which the configuration does not list",
+                path=where,
+            )
+    unexpected = decays.keys() - set(expected)
+    if unexpected:
+        role, j_text = min(unexpected)
+        raise ConfigError(f"unexpected dataset {role} with j {j_text!r}", path=where)
+    want_qpt = 12 if cfg.raw["qpt"]["enabled"] and has_null else 0
+    if len(qpt_rows) != want_qpt:
+        raise ConfigError(f"expected {want_qpt} qpt rows, got {len(qpt_rows)}", path=where)
 
 
 def _fit_payload(j: int, fit: FitResult, ci: dict | None) -> dict:
@@ -387,6 +436,111 @@ def _fits_json(cfg, fits, null_fits, boot) -> dict:
     }
     payload["null"] = _fits_with_ci(null_fits, boot, "null") if null_fits else None
     return payload
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _bootstrap_schema(cfg: RunConfig) -> dict:
+    """``bootstrap.npz`` arrays as ``name -> (dtype, shape)``: the two stamps,
+    then the point fits and refit samples of the target and, when the target
+    has null data, of the null operation."""
+    samples = (np.dtype(np.float64), (cfg.raw["bootstrap"]["replications"], len(OVERLAPS)))
+    _, unitary = resolve_target(cfg.target_spec())
+    schema = {
+        "config_hash": (np.dtype("<U16"), ()),
+        "dataset_sha256": (np.dtype("<U64"), ()),
+        "ref_rates": samples,
+    }
+    for prefix in ("", "null_") if unitary is not None else ("",):
+        for field, dtype in FIT_FIELDS.items():
+            schema[f"{prefix}fit_{field}"] = (np.dtype(dtype), (len(OVERLAPS),))
+        schema[f"{prefix}rates"] = samples
+        schema[f"{prefix}nonconverged"] = (np.dtype(np.int64), (len(OVERLAPS),))
+    return schema
+
+
+def _write_bootstrap_npz(path: Path, cfg, boot: ExperimentBootstrap, dataset_sha256: str):
+    """``fit``'s bootstrap in ``np.savez`` layout, with fixed member
+    timestamps so that equal inputs give equal bytes."""
+    arrays = {
+        "config_hash": cfg.config_hash(),
+        "dataset_sha256": dataset_sha256,
+        "ref_rates": boot.ref_rates,
+    }
+    for prefix, fits in (("", boot.fits), ("null_", boot.null_fits)):
+        if fits is None:
+            continue
+        for field in FIT_FIELDS:
+            arrays[f"{prefix}fit_{field}"] = [getattr(fit, field) for fit in fits]
+        arrays[f"{prefix}rates"] = getattr(boot, f"{prefix}rates")
+        arrays[f"{prefix}nonconverged"] = getattr(boot, f"{prefix}nonconverged")
+    schema = _bootstrap_schema(cfg)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as f:
+                array = np.asarray(value, dtype=schema[name][0])
+                np.lib.format.write_array(f, array, allow_pickle=False)
+
+
+def _read_bootstrap_npz(path: Path, cfg, dataset_path: Path) -> ExperimentBootstrap:
+    """Reload ``fit``'s bootstrap and derive the reconstruction stacks the
+    way :func:`experiment_bootstrap` does.  A missing or unreadable file, a
+    stamp that does not match the configuration or ``dataset.csv``, and a
+    missing, extra or misshapen array raise a ConfigError naming it."""
+    if not path.is_file():
+        raise ConfigError("missing; run `fit` first", path=path.name)
+    stamps = {"config_hash": cfg.config_hash(), "dataset_sha256": _sha256(dataset_path)}
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ConfigError(f"unreadable ({exc}); run `fit` again", path=path.name) from exc
+    schema = _bootstrap_schema(cfg)
+    for name, (dtype, shape) in schema.items():
+        where = f"{path.name}:{name}"
+        if name not in arrays:
+            raise ConfigError("missing", path=where)
+        array = arrays[name]
+        if array.dtype != dtype or array.shape != shape:
+            raise ConfigError(
+                f"{array.dtype} of shape {array.shape} where {dtype} of shape {shape} "
+                "was expected",
+                path=where,
+            )
+        if name in stamps and str(array) != stamps[name]:
+            raise ConfigError(
+                f"{array} does not match this run's {stamps[name]}; run `fit` again",
+                path=where,
+            )
+    extra = arrays.keys() - schema.keys()
+    if extra:
+        raise ConfigError("not expected for this configuration", path=f"{path.name}:{min(extra)}")
+
+    def fits(prefix):
+        if f"{prefix}rates" not in arrays:
+            return None
+        columns = [arrays[f"{prefix}fit_{field}"].tolist() for field in FIT_FIELDS]
+        return [FitResult(**dict(zip(FIT_FIELDS, values))) for values in zip(*columns)]
+
+    return ExperimentBootstrap.from_rates(
+        fits(""),
+        fits("null_"),
+        arrays["rates"],
+        arrays.get("null_rates"),
+        arrays["ref_rates"],
+        arrays["nonconverged"],
+        arrays.get("null_nonconverged"),
+    )
 
 
 def _reconstruction(cfg, boot) -> Reconstruction:
@@ -568,9 +722,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
 
 
 def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
-    datasets, null_datasets, reference, _ = _read_dataset_csv(
-        stage_in / "dataset.csv", cfg
-    )
+    dataset_path = stage_in / "dataset.csv"
+    datasets, null_datasets, reference, _ = _read_dataset_csv(dataset_path, cfg)
     fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
     path = out / "fits.json"
     written.append(path)
@@ -578,13 +731,13 @@ def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     curves = out / "decay_curves.csv"
     written.append(curves)
     _decay_curves_csv(curves, _labeled_fits(cfg, datasets, null_datasets, fits, null_fits), reference)
+    boot_path = out / "bootstrap.npz"
+    written.append(boot_path)
+    _write_bootstrap_npz(boot_path, cfg, boot, _sha256(dataset_path))
 
 
 def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
-    datasets, null_datasets, reference, _ = _read_dataset_csv(
-        stage_in / "dataset.csv", cfg
-    )
-    fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
+    boot = _read_bootstrap_npz(stage_in / "bootstrap.npz", cfg, stage_in / "dataset.csv")
     payload = _reconstruction_json(cfg, boot, _reconstruction(cfg, boot))
     rec_path = out / "reconstruction.json"
     written.append(rec_path)

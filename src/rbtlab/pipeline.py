@@ -253,6 +253,42 @@ class ExperimentBootstrap:
     nonconverged: np.ndarray
     null_nonconverged: np.ndarray | None
 
+    @classmethod
+    def from_rates(
+        cls,
+        fits: list,
+        null_fits: list | None,
+        rates: np.ndarray,
+        null_rates: np.ndarray | None,
+        ref_rates: np.ndarray,
+        nonconverged: np.ndarray,
+        null_nonconverged: np.ndarray | None,
+    ) -> "ExperimentBootstrap":
+        """Derive the reconstruction stacks from the refit rates: the unital
+        samples and, given null-operation rates, the null and left/right
+        corrected samples.  The fused pipeline and a staged ``reconstruct``
+        that reloads ``fit``'s bootstrap both go through here."""
+        unital = reconstruct_unital_batch(1.0 + 3.0 * rates)
+        null_unital = left = right = None
+        if null_rates is not None:
+            null_unital = reconstruct_unital_batch(1.0 + 3.0 * null_rates)
+            inv = np.linalg.inv(null_unital)
+            left = np.einsum("bij,bjk->bik", inv, unital)
+            right = np.einsum("bij,bjk->bik", unital, inv)
+        return cls(
+            fits=fits,
+            null_fits=null_fits,
+            rates=rates,
+            null_rates=null_rates,
+            unital=unital,
+            null_unital=null_unital,
+            corrected_left=left,
+            corrected_right=right,
+            ref_rates=ref_rates,
+            nonconverged=nonconverged,
+            null_nonconverged=null_nonconverged,
+        )
+
     @property
     def replications(self) -> int:
         return self.rates.shape[0]
@@ -315,33 +351,14 @@ def experiment_bootstrap(
     rates, ref_rates, nonconverged = _bootstrap_rates_for(
         exp_datasets, ref_resamples, fits, replications, seed, samples_per_config
     )
-    unital = reconstruct_unital_batch(1.0 + 3.0 * rates)
-    null_rates = None
-    null_nonconverged = None
-    null_unital = None
-    left = None
-    right = None
+    null_rates = null_nonconverged = None
     if null_datasets is not None:
         null_fits = null_fits or fit_overlaps(null_datasets, reference)
         null_rates, _, null_nonconverged = _bootstrap_rates_for(
             null_datasets, ref_resamples, null_fits, replications, seed, samples_per_config
         )
-        null_unital = reconstruct_unital_batch(1.0 + 3.0 * null_rates)
-        inv = np.linalg.inv(null_unital)
-        left = np.einsum("bij,bjk->bik", inv, unital)
-        right = np.einsum("bij,bjk->bik", unital, inv)
-    return ExperimentBootstrap(
-        fits=fits,
-        null_fits=null_fits,
-        rates=rates,
-        null_rates=null_rates,
-        unital=unital,
-        null_unital=null_unital,
-        corrected_left=left,
-        corrected_right=right,
-        ref_rates=ref_rates,
-        nonconverged=nonconverged,
-        null_nonconverged=null_nonconverged,
+    return ExperimentBootstrap.from_rates(
+        fits, null_fits, rates, null_rates, ref_rates, nonconverged, null_nonconverged
     )
 
 

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -46,6 +48,12 @@ def tiny_config(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def rewrite_lines(path, edit):
+    """Apply ``edit`` to the lines of a CRLF text file and write it back."""
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
 
 
 def reference_dataset_csv(path, exp, qpt):
@@ -274,6 +282,209 @@ class TestStages:
         out = tmp_path / "out"
         assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 3
         assert list(out.iterdir()) == []
+
+
+class TestDatasetDesign:
+    # Each edit leaves a well-formed dataset.csv whose design is not the one
+    # the tiny Hadamard configuration implies.
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            (
+                lambda line: line.startswith("null/overlap-10,"),
+                "no rows for dataset null/overlap-10",
+            ),
+            (
+                lambda line: line.startswith("null/"),
+                "no rows for dataset null/overlap-1",
+            ),
+            (
+                lambda line: line.startswith("hadamard/overlap-3,3,1,5,"),
+                "dataset hadamard/overlap-3 has 11 rows at length 1, expected 12",
+            ),
+            (
+                lambda line: line.startswith("reference,,inf,"),
+                "dataset reference has 0 rows at length inf, expected 12",
+            ),
+            (lambda line: line.startswith("qpt,"), "expected 12 qpt rows, got 0"),
+        ],
+        ids=["null-overlap-10", "every-null-row", "one-sequence-row", "reference-inf", "qpt"],
+    )
+    def test_incomplete_design_exits_2(self, tiny_config, tmp_path, capsys, drop, message):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tiny_config, "--out", out) == 0
+        rewrite_lines(out / "dataset.csv", lambda lines: [x for x in lines if not drop(x)])
+        for command in ("fit", "witness"):
+            assert run_cli(command, "--config", tiny_config, "--out", out) == 2
+            assert f"dataset.csv: {message}" in capsys.readouterr().err
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", out) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.csv"]
+
+    def test_unexpected_dataset_exits_2(self, tiny_config, tmp_path, capsys):
+        # A Hadamard dataset read under an identity target: its null rows are
+        # not part of that design.
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tiny_config, "--out", out) == 0
+        rewrite_lines(
+            out / "dataset.csv",
+            lambda lines: [x.replace("hadamard/", "identity/", 1) for x in lines],
+        )
+        identity = tmp_path / "identity.json"
+        identity.write_text(json.dumps(dict(TINY_CONFIG, target={"name": "identity"})))
+        assert run_cli("fit", "--config", identity, "--out", out) == 2
+        assert "unexpected dataset null/overlap-1 with j '1'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fitted(tiny_config, tmp_path):
+    """A stage directory after ``simulate`` and ``fit`` on the tiny config."""
+    out = tmp_path / "fitted"
+    assert run_cli("simulate", "--config", tiny_config, "--out", out) == 0
+    assert run_cli("fit", "--config", tiny_config, "--out", out) == 0
+    return out
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def rewrite_npz(path, edit):
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+class TestBootstrapNpz:
+    def test_holds_fit_stage_results(self, fitted):
+        fits = json.loads((fitted / "fits.json").read_text())
+        with np.load(fitted / "bootstrap.npz", allow_pickle=False) as npz:
+            assert str(npz["config_hash"]) == fits["config_hash"]
+            assert npz["rates"].shape == npz["null_rates"].shape == (20, 10)
+            for prefix, role in (("", "target"), ("null_", "null")):
+                for field in cli.FIT_FIELDS:
+                    want = [fit[field] for fit in fits[role]]
+                    assert npz[f"{prefix}fit_{field}"].tolist() == want
+                counts = [fit["ci"]["nonconverged"] for fit in fits[role]]
+                assert npz[f"{prefix}nonconverged"].tolist() == counts
+
+    def test_reconstruct_reuses_fit(self, tiny_config, fitted, monkeypatch):
+        reads, boots = [], []
+        read, boot = cli._read_dataset_csv, cli.experiment_bootstrap
+
+        def counted_read(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+
+        def counted_boot(*args, **kwargs):
+            boots.append(args)
+            return boot(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_read_dataset_csv", counted_read)
+        monkeypatch.setattr(cli, "experiment_bootstrap", counted_boot)
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", fitted) == 0
+        assert (reads, boots) == ([], [])
+        assert run_cli("fit", "--config", tiny_config, "--out", fitted) == 0
+        assert (len(reads), len(boots)) == (1, 1)
+
+    def test_missing_file_says_run_fit(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tiny_config, "--out", out) == 0
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", out) == 2
+        assert "bootstrap.npz: missing; run `fit` first" in capsys.readouterr().err
+        assert not (out / "reconstruction.json").exists()
+
+    def test_failed_fit_leaves_no_bootstrap(self, tiny_config, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise cli.NumericalError("forced")
+
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tiny_config, "--out", out) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_compute_fits", fail)
+            assert run_cli("fit", "--config", tiny_config, "--out", out) == 3
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", out) == 2
+        assert "run `fit` first" in capsys.readouterr().err
+
+    def test_config_mismatch_names_hash(self, tiny_config, fitted, capsys):
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", fitted, "--seed", 12) == 2
+        assert "bootstrap.npz:config_hash: " in capsys.readouterr().err
+
+    def test_dataset_mismatch_names_hash(self, tiny_config, fitted, capsys):
+        # One bin mean of the reference changes; the file stays well formed.
+        def edit(lines):
+            row = next(k for k, x in enumerate(lines) if x.startswith("reference,"))
+            head, mean = lines[row].rsplit(",", 1)
+            lines[row] = f"{head},{0.25 if mean != '0.25' else 0.75}"
+            return lines
+
+        rewrite_lines(fitted / "dataset.csv", edit)
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", fitted) == 2
+        assert "bootstrap.npz:dataset_sha256: " in capsys.readouterr().err
+        assert not (fitted / "reconstruction.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda a: a.update(rates=a["rates"][:-1]), "rates"),
+            (lambda a: a.update(null_rates=a["null_rates"][:, :9]), "null_rates"),
+            (lambda a: a.update(fit_converged=a["fit_converged"].astype(int)), "fit_converged"),
+            (lambda a: a.pop("ref_rates"), "ref_rates"),
+            (lambda a: a.pop("null_nonconverged"), "null_nonconverged"),
+            (lambda a: a.update(extra=np.zeros(3)), "extra"),
+        ],
+        ids=["short-rates", "narrow-null-rates", "int-converged", "no-ref-rates",
+             "no-null-nonconverged", "extra-array"],
+    )
+    def test_bad_array_named(self, tiny_config, fitted, capsys, edit, field):
+        rewrite_npz(fitted / "bootstrap.npz", edit)
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", fitted) == 2
+        assert f"bootstrap.npz:{field}: " in capsys.readouterr().err
+
+    def test_null_arrays_only_with_null_data(self, tmp_path, capsys):
+        # An identity target has no null data, so its file has no null arrays
+        # and a file that carries them is refused.
+        config = tmp_path / "identity.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, target={"name": "identity"})))
+        out = tmp_path / "out"
+        for command in ("simulate", "fit", "reconstruct"):
+            assert run_cli(command, "--config", config, "--out", out) == 0
+        with np.load(out / "bootstrap.npz", allow_pickle=False) as npz:
+            assert not [name for name in npz.files if name.startswith("null_")]
+        rewrite_npz(out / "bootstrap.npz", lambda a: a.update(null_rates=a["rates"]))
+        assert run_cli("reconstruct", "--config", config, "--out", out) == 2
+        assert "bootstrap.npz:null_rates: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.write_bytes(b"not a zip archive\n"),
+            lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+            lambda path: path.write_bytes(npy_bytes(np.zeros(3))),
+            lambda path: np.savez(path, rates=np.array([None], dtype=object)),
+        ],
+        ids=["text", "truncated", "npy", "object-array"],
+    )
+    def test_unreadable_file_exits_2(self, tiny_config, fitted, capsys, damage):
+        damage(fitted / "bootstrap.npz")
+        assert run_cli("reconstruct", "--config", tiny_config, "--out", fitted) == 2
+        assert "bootstrap.npz: unreadable" in capsys.readouterr().err
+
+    def test_staged_same_seed_byte_identical(self, tiny_config, tmp_path):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            for command in ("gen-sequences", "simulate", "fit", "reconstruct", "witness"):
+                assert run_cli(command, "--config", tiny_config, "--out", out) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert "bootstrap.npz" in names
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        # Member timestamps are fixed, so the bytes do not depend on the clock.
+        with zipfile.ZipFile(runs[0] / "bootstrap.npz") as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
 
 class TestWitnessStage:

@@ -88,33 +88,61 @@ def _parse_length(text: str):
     return INFINITE if text == "inf" else int(text)
 
 
-def _sequence_records(cfg: RunConfig):
-    name, unitary = resolve_target(cfg.target_spec())
-    roles = [("target", name)]
+def _sequence_sets(cfg: RunConfig):
+    """(role, j, SequenceSet) of every dataset, in sequences.json order."""
+    _name, unitary = resolve_target(cfg.target_spec())
+    roles = [("target", OVERLAPS)]
     if unitary is not None:
-        roles.append(("null", "null"))
-    roles.append(("reference", "reference"))
-    records = []
-    for role, _label in roles:
-        js = list(range(1, 11)) if role in ("target", "null") else [1]
+        roles.append(("null", OVERLAPS))
+    roles.append(("reference", [1]))
+    for role, js in roles:
         for j in js:
-            seqs = exhaustive_set(j, lengths=cfg.lengths(), repeats=cfg.repeats())
-            records.append(
-                {
-                    "role": role,
-                    "j": j,
-                    "sequences": [
-                        {
-                            "n": _format_length(s.length),
-                            "randomizers": list(s.randomizers),
-                            "compiled": list(s.compiled),
-                            "repeat": s.repeat,
-                        }
-                        for s in seqs.sequences
-                    ],
-                }
+            yield role, j, exhaustive_set(j, lengths=cfg.lengths(), repeats=cfg.repeats())
+
+
+def _json_int_list(count: int, indent: int) -> str:
+    """%-template of a non-empty list of ``count`` ints at ``indent`` in the
+    ``json.dumps(indent=1)`` layout."""
+    item = " " * (indent + 1) + "%d"
+    return "[\n" + ",\n".join([item] * count) + "\n" + " " * indent + "]"
+
+
+@lru_cache(maxsize=None)
+def _sequence_template(n_compiled: int, n_randomizers: int) -> str:
+    """%-template of one sequences.json entry: compiled ints, n (a JSON
+    string), randomizer ints, repeat."""
+    return (
+        "    {\n"
+        f'     "compiled": {_json_int_list(n_compiled, 5)},\n'
+        '     "n": %s,\n'
+        f'     "randomizers": {_json_int_list(n_randomizers, 5)},\n'
+        '     "repeat": %d\n'
+        "    }"
+    )
+
+
+def _write_sequences_json(path: Path, cfg: RunConfig) -> None:
+    """Write sequences.json with the bytes of ``json.dumps(payload, indent=1,
+    sort_keys=True) + "\n"``, rendered straight from the sequence sets.
+
+    The payload is ``{"config_hash", "datasets", "seed"}``, each dataset
+    ``{"j", "role", "sequences"}`` and each sequence ``{"compiled", "n",
+    "randomizers", "repeat"}``, with ``n`` spelled as in dataset.csv.
+    """
+    with path.open("w") as f:
+        f.write(f'{{\n "config_hash": {json.dumps(cfg.config_hash())},\n "datasets": [')
+        for k, (role, j, seqs) in enumerate(_sequence_sets(cfg)):
+            n_texts = {n: json.dumps(_format_length(n)) for n in seqs.lengths}
+            items = ",\n".join(
+                _sequence_template(len(s.compiled), len(s.randomizers))
+                % (*s.compiled, n_texts[s.length], *s.randomizers, s.repeat)
+                for s in seqs.sequences
             )
-    return records
+            f.write(
+                f'{"," if k else ""}\n  {{\n   "j": {json.dumps(j)},\n'
+                f'   "role": {json.dumps(role)},\n   "sequences": [\n{items}\n   ]\n  }}'
+            )
+        f.write(f'\n ],\n "seed": {json.dumps(cfg.seed)}\n}}\n')
 
 
 def _csv_prefixes(rows) -> list:
@@ -704,14 +732,7 @@ def _simulate_all(cfg: RunConfig):
 def cmd_gen_sequences(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     path = out / "sequences.json"
     written.append(path)
-    _write_json(
-        path,
-        {
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
-            "datasets": _sequence_records(cfg),
-        },
-    )
+    _write_sequences_json(path, cfg)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
@@ -747,7 +768,13 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) ->
     _hinton_csv(hin_path, np.array(payload["e_prime"]).reshape(4, 4))
 
 
+def _witness_enabled(cfg: RunConfig) -> bool:
+    return cfg.raw.get("witness", {}).get("enabled", True)
+
+
 def cmd_witness(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
+    if not _witness_enabled(cfg):
+        return
     datasets, null_datasets, reference, qpt = _read_dataset_csv(
         stage_in / "dataset.csv", cfg
     )
@@ -791,7 +818,7 @@ def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
     written.append(hin_path)
     _hinton_csv(hin_path, np.array(rec_payload["e_prime"]).reshape(4, 4))
 
-    if cfg.raw.get("witness", {}).get("enabled", True):
+    if _witness_enabled(cfg):
         wit_payload = _witness_json(
             cfg, exp.datasets, exp.null_datasets, exp.reference, qpt
         )

@@ -42,8 +42,21 @@ def _stream_key(*labels) -> int:
 
 
 def stream_generator(seed: int, *labels) -> np.random.Generator:
-    """Independent counter-based RNG substream for (seed, labels)."""
+    """Independent counter-based RNG substream for (seed, labels).
+
+    The Philox key is the pair ``(seed, blake2b-64 of the labels)``.  numpy
+    converts that pair with ``np.asarray``, so a label hash of 2**63 or more
+    (half of all streams) passes through float64 and keeps only 53
+    significant bits.  The rounded key is part of the byte contract of every
+    simulated dataset: a key built exactly as uint64 would change the draws.
+    """
     return np.random.Generator(np.random.Philox(key=[int(seed), _stream_key(*labels)]))
+
+
+def _philox_key(seed: int, *labels) -> np.ndarray:
+    """The key array ``stream_generator(seed, *labels)`` hands to Philox,
+    rounding included."""
+    return np.asarray([int(seed), _stream_key(*labels)]).astype(np.uint64)
 
 
 def _gate_superops(group: str) -> list:
@@ -123,39 +136,47 @@ class DecayDataset:
     def n_rows(self) -> int:
         return sum(g.n_rows for g in self.groups.values())
 
-    def to_json_dict(self) -> dict:
-        """JSON-ready form; infinite length is spelled "inf"."""
-        return {
-            "basis_index": self.basis_index,
-            "label": self.label,
-            "shots": self.shots,
-            "bin_size": self.bin_size,
-            "seed": self.seed,
-            "groups": {
-                ("inf" if math.isinf(n) else str(int(n))): {
-                    "row_ids": list(grp.row_ids),
-                    "bins": [[float(x) for x in row] for row in grp.bins],
-                }
-                for n, grp in sorted(
-                    self.groups.items(), key=lambda kv: (math.isinf(kv[0]), kv[0])
-                )
-            },
-        }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DecayDataset":
-        groups = {}
-        for key, grp in payload["groups"].items():
-            n = INFINITE if key == "inf" else int(key)
-            groups[n] = LengthGroup(tuple(grp["row_ids"]), np.array(grp["bins"], dtype=float))
-        return cls(
-            basis_index=payload["basis_index"],
-            label=payload["label"],
-            shots=payload["shots"],
-            bin_size=payload["bin_size"],
-            seed=payload["seed"],
-            groups=groups,
-        )
+def _survival_probabilities(
+    seqs: list,
+    target: np.ndarray | None,
+    noise: NoiseModel,
+    spam: SpamModel,
+    noisy_target: bool,
+) -> np.ndarray:
+    """:func:`survival_probability` of every sequence, bit for bit.
+
+    Noisy gate and target matrices are built once.  Sequences of one gate
+    group and shape are propagated together as ``(N,4,4) @ (N,4,1)``
+    products and measured as ``(N,1,4) @ (4,1)``, which round exactly as the
+    per-sequence ``@`` and ``np.dot`` do.
+    """
+    if target is not None:
+        applied_target = noise.apply(target) if noisy_target else np.asarray(target)
+    batches: dict = {}
+    for i, seq in enumerate(seqs):
+        batches.setdefault((seq.group, len(seq.compiled), seq.n_target_slots), []).append(i)
+    noisy_gates: dict = {}
+    out = np.empty(len(seqs))
+    for (group, n_gates, n_slots), rows in batches.items():
+        if n_slots and target is None:
+            raise ValueError("sequence has target slots but no target was given")
+        if group not in noisy_gates:
+            noisy_gates[group] = np.stack(
+                [noise.apply(g, index=k) for k, g in enumerate(_gate_superops(group), start=1)]
+            )
+        gates = noisy_gates[group]
+        compiled = np.array([seqs[i].compiled for i in rows])
+        state = np.repeat(spam.prep.reshape(1, 4, 1), len(rows), axis=0)
+        for pos in range(n_gates):
+            state = gates[compiled[:, pos] - 1] @ state
+            if pos < n_slots:
+                state = applied_target @ state
+        raw = (state.reshape(-1, 1, 4) @ spam.meas.reshape(4, 1)).reshape(-1)
+        raw = np.minimum(np.maximum(raw, 0.0), 1.0)
+        f = spam.assignment_fidelity
+        out[rows] = f * raw + (1.0 - f) * (1.0 - raw)
+    return out
 
 
 def sample_dataset(
@@ -174,29 +195,31 @@ def sample_dataset(
     Each sequence row gets its own RNG substream keyed by
     ``(seed, label, length, row position)``; bins record the per-bin mean of
     ``bin_size`` Bernoulli draws at the sequence's survival probability.
+    One Philox generator is re-keyed per row instead of built per row; it
+    draws what ``stream_generator(seed, label, length, row)`` would.
     """
     if shots % bin_size:
         raise ValueError(f"shots={shots} not divisible by bin_size={bin_size}")
     n_bins = shots // bin_size
+    seqs = seq_set.sequences
+    probs = _survival_probabilities(seqs, target, noise, spam, noisy_target).tolist()
     by_length: dict = {}
-    for seq in seq_set.sequences:
+    for i, seq in enumerate(seqs):
         key = INFINITE if math.isinf(seq.length) else int(seq.length)
-        by_length.setdefault(key, []).append(seq)
+        by_length.setdefault(key, []).append(i)
+    bitgen = np.random.Philox(key=[0, 0])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
     groups = {}
-    survival_cache: dict = {}
-    for n, seqs in by_length.items():
-        bins = np.empty((len(seqs), n_bins))
-        row_ids = []
-        for r, seq in enumerate(seqs):
-            cache_key = (seq.group, seq.basis_index, seq.compiled, seq.n_target_slots)
-            p = survival_cache.get(cache_key)
-            if p is None:
-                p = survival_probability(seq, target, noise, spam, noisy_target)
-                survival_cache[cache_key] = p
-            rng = stream_generator(seed, label, n, r)
-            bins[r] = rng.binomial(bin_size, p, size=n_bins) / bin_size
-            row_ids.append(seq.row_id)
-        groups[n] = LengthGroup(row_ids=tuple(row_ids), bins=bins)
+    for n, rows in by_length.items():
+        counts = np.empty((len(rows), n_bins), dtype=np.int64)
+        for r, i in enumerate(rows):
+            fresh["state"]["key"] = _philox_key(seed, label, n, r)
+            bitgen.state = fresh
+            counts[r] = rng.binomial(bin_size, probs[i], size=n_bins)
+        groups[n] = LengthGroup(
+            row_ids=tuple(seqs[i].row_id for i in rows), bins=counts / bin_size
+        )
     return DecayDataset(
         basis_index=seq_set.basis_index,
         label=label,

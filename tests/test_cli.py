@@ -82,6 +82,35 @@ def reference_dataset_csv(path, exp, qpt):
                     writer.writerow(("qpt", str(row), "1", f"row{row}", str(b), repr(float(qpt.bins[row, b]))))
 
 
+def reference_sequences_json(cfg):
+    """The text that defines the sequences.json bytes: json.dumps of the
+    whole payload with indent=1 and sorted keys."""
+    from rbtlab.pipeline import resolve_target
+    from rbtlab.sequences import exhaustive_set
+
+    _, unitary = resolve_target(cfg.target_spec())
+    roles = [("target", range(1, 11))]
+    if unitary is not None:
+        roles.append(("null", range(1, 11)))
+    roles.append(("reference", [1]))
+    datasets = []
+    for role, js in roles:
+        for j in js:
+            seqs = exhaustive_set(j, lengths=cfg.lengths(), repeats=cfg.repeats())
+            sequences = [
+                {
+                    "n": "inf" if math.isinf(s.length) else str(int(s.length)),
+                    "randomizers": list(s.randomizers),
+                    "compiled": list(s.compiled),
+                    "repeat": s.repeat,
+                }
+                for s in seqs.sequences
+            ]
+            datasets.append({"role": role, "j": j, "sequences": sequences})
+    payload = {"config_hash": cfg.config_hash(), "seed": cfg.seed, "datasets": datasets}
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 @pytest.fixture
 def tiny_experiment():
     return cli._simulate_all(RunConfig.from_dict(TINY_CONFIG))
@@ -209,6 +238,26 @@ class TestStages:
             "witness.json",
         ):
             assert (fused / name).read_bytes() == (staged / name).read_bytes(), name
+
+    def test_witness_disabled_writes_nothing(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, witness={"enabled": False})))
+        fused, staged = tmp_path / "fused", tmp_path / "staged"
+        assert run_cli("pipeline", "--config", config, "--out", fused) == 0
+        assert run_cli("simulate", "--config", config, "--out", staged) == 0
+        reads = []
+        read_dataset_csv = cli._read_dataset_csv
+
+        def counted_read(*args, **kwargs):
+            reads.append(args)
+            return read_dataset_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_read_dataset_csv", counted_read)
+        assert run_cli("witness", "--config", config, "--out", staged) == 0
+        assert reads == []
+        witness_files = {"witness.json", "negativity.csv"}
+        assert {p.name for p in fused.iterdir()} & witness_files == set()
+        assert {p.name for p in staged.iterdir()} & witness_files == set()
 
     def test_stage_input_flag(self, tiny_config, tmp_path):
         src = tmp_path / "src"
@@ -559,6 +608,17 @@ class TestDatasetCsv:
                 assert read.groups[n].row_ids == grp.row_ids
                 assert np.array_equal(read.groups[n].bins, grp.bins)
         assert np.array_equal(qpt_read.bins, qpt.bins)
+
+
+class TestSequencesJson:
+    @pytest.mark.parametrize("target", ["hadamard", "w", "identity"])
+    def test_writer_matches_reference_bytes(self, tmp_path, target):
+        data = dict(TINY_CONFIG, target={"name": target})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert run_cli("gen-sequences", "--config", config, "--out", tmp_path) == 0
+        expected = reference_sequences_json(RunConfig.from_dict(data))
+        assert (tmp_path / "sequences.json").read_bytes() == expected.encode()
 
 
 class TestErrors:

@@ -1,20 +1,29 @@
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from rbtlab.channels import NoiseModel, SpamModel, depolarizing
+from rbtlab.channels import NoiseModel, SpamModel, amplitude_phase_damping, depolarizing
 from rbtlab.groups import a4_elements, rotation_unitary
 from rbtlab.pauli import superop_from_unitary, unital_part
 from rbtlab.sampling import (
     QPT_INPUT_STATES,
+    _survival_probabilities,
     qpt_true_expectations,
     sample_dataset,
     sample_qpt_dataset,
     stream_generator,
     survival_probability,
 )
-from rbtlab.sequences import INFINITE, exhaustive_set, infinite_length_surrogate, make_sequence
+from rbtlab.sequences import (
+    INFINITE,
+    exhaustive_set,
+    infinite_length_surrogate,
+    make_sequence,
+    standard_rb_set,
+)
 
 IDEAL = NoiseModel.ideal()
 PERFECT = SpamModel.ideal()
@@ -112,6 +121,102 @@ class TestSampleDataset:
         ss = exhaustive_set(4)
         ds = sample_dataset(ss, a4_elements()[3].superop, IDEAL, PERFECT, shots=200, bin_size=100, seed=0)
         assert ds.n_rows() == len(ss)
+
+
+def label_hash(*labels) -> int:
+    """blake2b-64 of the labels joined by U+001F: a stream's key before numpy
+    converts it."""
+    text = "\x1f".join(str(x) for x in labels)
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
+def reference_bins(seq_set, target, noise, spam, shots, bin_size, seed, label, noisy_target):
+    """Row-at-a-time sampler that defines the sample_dataset bytes: row r of
+    length n draws from a fresh stream_generator(seed, label, n, r) at the
+    survival_probability of its sequence."""
+    by_length = {}
+    for seq in seq_set.sequences:
+        n = INFINITE if math.isinf(seq.length) else int(seq.length)
+        by_length.setdefault(n, []).append(seq)
+    out = {}
+    for n, seqs in by_length.items():
+        rows = []
+        for r, seq in enumerate(seqs):
+            p = survival_probability(seq, target, noise, spam, noisy_target)
+            rng = stream_generator(seed, label, n, r)
+            rows.append(rng.binomial(bin_size, p, size=shots // bin_size) / bin_size)
+        out[n] = ([seq.row_id for seq in seqs], np.array(rows))
+    return out
+
+
+HADAMARD = superop_from_unitary(rotation_unitary((1.0, 0.0, 1.0), np.pi))
+DAMPING = amplitude_phase_damping(33.3e-9, 5.7e-6, 8.4e-6)
+SMALL_SET = exhaustive_set(3, lengths=(1, 2), repeats={1: 2, INFINITE: 2})
+
+
+BYTE_CONTRACT_CASES = [
+    pytest.param(
+        SMALL_SET,
+        HADAMARD,
+        NoiseModel(DAMPING, overrides={4: depolarizing(0.95)}, placement="right"),
+        "hadamard/overlap-3",
+        True,
+        id="noisy-target",
+    ),
+    pytest.param(SMALL_SET, np.eye(4), NoiseModel(DAMPING), "null/overlap-3", False, id="null-target"),
+    # Row 0 of length 1 has a stream key of 2**63 or more.
+    pytest.param(SMALL_SET, HADAMARD, NoiseModel(DAMPING), "w/overlap-2", True, id="high-stream-key"),
+    pytest.param(
+        standard_rb_set("clifford24", lengths=(1, 2, 3), n_random=10, seed=3),
+        None,
+        NoiseModel(depolarizing(0.97), overrides={20: DAMPING}),
+        "clifford24",
+        True,
+        id="clifford24",
+    ),
+]
+
+
+class TestByteContract:
+    @pytest.mark.parametrize("seq_set, target, noise, label, noisy_target", BYTE_CONTRACT_CASES)
+    def test_batched_survival_bit_identical(self, seq_set, target, noise, label, noisy_target):
+        # A one-ulp change in a probability rarely moves a binomial draw, so
+        # the batch is compared with the per-sequence products directly.
+        spam = SpamModel.with_assignment_error(0.95)
+        batched = _survival_probabilities(seq_set.sequences, target, noise, spam, noisy_target)
+        expected = [
+            survival_probability(seq, target, noise, spam, noisy_target)
+            for seq in seq_set.sequences
+        ]
+        assert batched.tolist() == expected
+
+    @pytest.mark.parametrize("seq_set, target, noise, label, noisy_target", BYTE_CONTRACT_CASES)
+    def test_bins_match_per_row_reference(self, seq_set, target, noise, label, noisy_target):
+        spam = SpamModel.with_assignment_error(0.95)
+        ds = sample_dataset(
+            seq_set, target, noise, spam, shots=1000, bin_size=100, seed=11,
+            label=label, noisy_target=noisy_target,
+        )
+        expected = reference_bins(seq_set, target, noise, spam, 1000, 100, 11, label, noisy_target)
+        assert sorted(ds.groups) == sorted(expected)
+        for n, (row_ids, bins) in expected.items():
+            assert list(ds.groups[n].row_ids) == row_ids
+            assert np.array_equal(ds.groups[n].bins, bins), n
+
+    def test_high_stream_key_rounded_through_float64(self):
+        exact = label_hash("w/overlap-2", 1, 0)
+        assert exact >= 2**63
+        key = stream_generator(11, "w/overlap-2", 1, 0).bit_generator.state["state"]["key"]
+        assert int(key[0]) == 11
+        assert int(key[1]) == int(float(exact)) != exact
+        # The rounded key is the contract: the exact key draws other bins.
+        ds = sample_dataset(
+            SMALL_SET, HADAMARD, NoiseModel(DAMPING), SpamModel.ideal(),
+            shots=1000, bin_size=100, seed=11, label="w/overlap-2",
+        )
+        p = survival_probability(SMALL_SET.sequences[0], HADAMARD, NoiseModel(DAMPING), SpamModel.ideal())
+        exact_rng = np.random.Generator(np.random.Philox(key=np.array([11, exact], dtype=np.uint64)))
+        assert not np.array_equal(ds.groups[1].bins[0], exact_rng.binomial(100, p, size=10) / 100)
 
 
 class TestExhaustiveAverageConsistency:

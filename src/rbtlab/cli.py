@@ -2,13 +2,15 @@
 witness, and pulse sweeps.
 
 Subcommands: ``pipeline``, ``gen-sequences``, ``simulate``, ``fit``,
-``reconstruct``, ``witness``, ``pulse-scan``.  Stage commands reread the
-artifacts of an earlier stage (``--stage-input``, defaulting to the output
-directory) and reproduce exactly what the fused pipeline would have written
-on the same inputs: ``fit`` and ``witness`` read ``dataset.csv``, and
-``reconstruct`` reads the ``bootstrap.npz`` that ``fit`` wrote instead of
-refitting.  Exit codes: 0 success, 2 configuration or artifact schema error,
-3 numerical failure, 4 I/O error.
+``reconstruct``, ``witness``, ``pulse-scan``.  Each stage is one function
+that takes its inputs in memory and writes its artifacts.  A stage command
+rereads the artifacts of an earlier stage (``--stage-input``, defaulting to
+the output directory) and calls its stage function: ``fit`` and ``witness``
+read ``dataset.csv``, and ``reconstruct`` reads the ``bootstrap.npz`` that
+``fit`` wrote instead of refitting.  ``pipeline`` calls the same stage
+functions in order and hands the datasets and the bootstrap over in memory.
+Exit codes: 0 success, 2 configuration or artifact schema error, 3 numerical
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .fitting import FitResult
+from .fitting import FitResult, decay_to_overlap
 from .pauli import avg_fidelity, superop_to_list
 from .pipeline import (
+    N_OVERLAPS,
     Experiment,
     ExperimentBootstrap,
     build_reconstruction,
     experiment_bootstrap,
-    fit_overlaps,
     percentile_ci,
     qpt_point_estimate,
     qpt_witness_report,
@@ -54,7 +56,7 @@ from .witness import WitnessReport
 __all__ = ["main"]
 
 DATASET_HEADER = ("role", "j", "n", "tuple_id", "bin_id", "mean")
-OVERLAPS = range(1, 11)
+OVERLAPS = range(1, N_OVERLAPS + 1)
 
 # FitResult's point-fit fields, stored in bootstrap.npz with these dtypes.
 FIT_FIELDS = {
@@ -391,33 +393,20 @@ def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, name, has_null, 
         raise ConfigError(f"expected {want_qpt} qpt rows, got {len(qpt_rows)}", path=where)
 
 
-def _fit_payload(j: int, fit: FitResult, ci: dict | None) -> dict:
-    return {
-        "j": j,
-        "rate": fit.rate,
-        "ref_rate": fit.ref_rate,
-        "scale": fit.scale,
-        "offset": fit.offset,
-        "objective": fit.objective,
-        "converged": fit.converged,
-        "degenerate_seed": fit.degenerate_seed,
-        "overlap": 1.0 + 3.0 * fit.rate,
-        "ci": ci,
-    }
-
-
-def _fits_with_ci(fits, boot: ExperimentBootstrap | None, which: str):
+def _fits_with_ci(fits: list, rates: np.ndarray, nonconverged: np.ndarray) -> list:
+    """fits.json entries: each point fit's fields, its overlap, and the
+    percentile CI and non-converged count of its bootstrap column."""
     out = []
     for col, fit in enumerate(fits):
-        ci = None
-        if boot is not None:
-            if which == "target":
-                rates, nonconverged = boot.rates, boot.nonconverged
-            else:
-                rates, nonconverged = boot.null_rates, boot.null_nonconverged
-            lo, hi = percentile_ci(rates[:, col])
-            ci = {"rate": [float(lo), float(hi)], "nonconverged": int(nonconverged[col])}
-        out.append(_fit_payload(col + 1, fit, ci))
+        lo, hi = percentile_ci(rates[:, col])
+        out.append(
+            {field: getattr(fit, field) for field in FIT_FIELDS}
+            | {
+                "j": col + 1,
+                "overlap": decay_to_overlap(fit.rate),
+                "ci": {"rate": [float(lo), float(hi)], "nonconverged": int(nonconverged[col])},
+            }
+        )
     return out
 
 
@@ -437,9 +426,9 @@ def _witness_payload(report: WitnessReport) -> dict:
 # Stage computations
 
 
-def _compute_fits(cfg, datasets, null_datasets, reference):
-    fits = fit_overlaps(datasets, reference)
-    null_fits = fit_overlaps(null_datasets, reference) if null_datasets else None
+def _compute_fits(cfg, datasets, null_datasets, reference) -> ExperimentBootstrap:
+    """Point fits and the main bootstrap; a point fit that did not converge
+    raises NumericalError."""
     boot = experiment_bootstrap(
         datasets,
         reference,
@@ -447,23 +436,23 @@ def _compute_fits(cfg, datasets, null_datasets, reference):
         seed=cfg.seed,
         samples_per_config=cfg.raw["bootstrap"]["samples_per_config"],
         null_datasets=null_datasets,
-        fits=fits,
-        null_fits=null_fits,
     )
-    bad = [f for f in fits + (null_fits or []) if not f.converged]
+    bad = [f for f in boot.fits + (boot.null_fits or []) if not f.converged]
     if bad:
         raise NumericalError(f"{len(bad)} joint fits failed to converge")
-    return fits, null_fits, boot
+    return boot
 
 
-def _fits_json(cfg, fits, null_fits, boot) -> dict:
-    payload = {
+def _fits_json(cfg, boot: ExperimentBootstrap) -> dict:
+    null = None
+    if boot.null_fits:
+        null = _fits_with_ci(boot.null_fits, boot.null_rates, boot.null_nonconverged)
+    return {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "target": _fits_with_ci(fits, boot, "target"),
+        "target": _fits_with_ci(boot.fits, boot.rates, boot.nonconverged),
+        "null": null,
     }
-    payload["null"] = _fits_with_ci(null_fits, boot, "null") if null_fits else None
-    return payload
 
 
 def _sha256(path: Path) -> str:
@@ -571,11 +560,6 @@ def _read_bootstrap_npz(path: Path, cfg, dataset_path: Path) -> ExperimentBootst
     )
 
 
-def _reconstruction(cfg, boot) -> Reconstruction:
-    _, target_unitary = resolve_target(cfg.target_spec())
-    return build_reconstruction(target_unitary, boot)
-
-
 def _reconstruction_json(cfg, boot, rec: Reconstruction) -> dict:
     mat_lo, mat_hi = percentile_ci(boot.unital)
     payload = {
@@ -596,35 +580,6 @@ def _reconstruction_json(cfg, boot, rec: Reconstruction) -> dict:
         payload["null_e_prime"] = superop_to_list(rec.null_unital)
         payload["corrected_left"] = superop_to_list(rec.corrected_left)
         payload["corrected_right"] = superop_to_list(rec.corrected_right)
-    return payload
-
-
-def _witness_json(cfg, datasets, null_datasets, reference, qpt) -> dict:
-    wcfg = cfg.raw.get("witness", {"enabled": True, "variants": ["raw"]})
-    replications = cfg.raw["bootstrap"]["replications"]
-    payload = {"config_hash": cfg.config_hash(), "rbt": {}, "qpt": None}
-    variants = [v for v in wcfg.get("variants", ["raw"]) if v == "raw" or null_datasets]
-    if variants:
-        # Null halves are split, fit and resampled only for corrected variants.
-        needs_null = any(v != "raw" for v in variants)
-        halves = split_half_bootstrap(
-            datasets,
-            reference,
-            replications=replications,
-            seed=cfg.seed,
-            null_datasets=null_datasets if needs_null else None,
-        )
-        for variant in variants:
-            report = rbt_witness_report(halves, variant=variant)
-            payload["rbt"][variant] = _witness_payload(report)
-    if qpt is not None:
-        report = qpt_witness_report(
-            qpt,
-            cfg.raw["qpt"]["assumed_assignment_fidelity"],
-            replications=replications,
-            seed=cfg.seed,
-        )
-        payload["qpt"] = _witness_payload(report)
     return payload
 
 
@@ -654,12 +609,12 @@ def _decay_curves_csv(path: Path, labeled_fits, reference: DecayDataset) -> None
             )
 
 
-def _labeled_fits(cfg, datasets, null_datasets, fits, null_fits):
+def _labeled_fits(cfg, datasets, null_datasets, boot: ExperimentBootstrap):
     name, _ = resolve_target(cfg.target_spec())
-    out = [(name, j, datasets[j], fits[j - 1]) for j in sorted(datasets)]
+    out = [(name, j, datasets[j], boot.fits[j - 1]) for j in sorted(datasets)]
     if null_datasets:
         out.extend(
-            ("null", j, null_datasets[j], null_fits[j - 1]) for j in sorted(null_datasets)
+            ("null", j, null_datasets[j], boot.null_fits[j - 1]) for j in sorted(null_datasets)
         )
     return out
 
@@ -702,7 +657,15 @@ def _fig5_csv(path: Path, witness_payload: dict, target_name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Stages: each takes its inputs in memory and writes its artifacts
+
+
+def _artifact(out: Path, name: str, written: list) -> Path:
+    """``out / name``, registered in ``written`` so that a failed run
+    removes it."""
+    path = out / name
+    written.append(path)
+    return path
 
 
 def _simulate_all(cfg: RunConfig):
@@ -729,120 +692,112 @@ def _simulate_all(cfg: RunConfig):
     return exp, qpt
 
 
+def _simulate_stage(cfg, out: Path, written: list):
+    exp, qpt = _simulate_all(cfg)
+    _write_dataset_csv(_artifact(out, "dataset.csv", written), exp, qpt)
+    return exp, qpt
+
+
+def _fit_stage(cfg, out: Path, written: list, datasets, null_datasets, reference):
+    boot = _compute_fits(cfg, datasets, null_datasets, reference)
+    _write_json(_artifact(out, "fits.json", written), _fits_json(cfg, boot))
+    _decay_curves_csv(
+        _artifact(out, "decay_curves.csv", written),
+        _labeled_fits(cfg, datasets, null_datasets, boot),
+        reference,
+    )
+    return boot
+
+
+def _reconstruct_stage(cfg, out: Path, written: list, boot: ExperimentBootstrap):
+    _, target_unitary = resolve_target(cfg.target_spec())
+    rec = build_reconstruction(target_unitary, boot)
+    payload = _reconstruction_json(cfg, boot, rec)
+    _write_json(_artifact(out, "reconstruction.json", written), payload)
+    _hinton_csv(_artifact(out, "hinton.csv", written), rec.unital)
+    return rec
+
+
+def _witness_stage(cfg, out: Path, written: list, datasets, null_datasets, reference, qpt):
+    replications = cfg.raw["bootstrap"]["replications"]
+    payload = {"config_hash": cfg.config_hash(), "rbt": {}, "qpt": None}
+    variants = [v for v in cfg.raw["witness"]["variants"] if v == "raw" or null_datasets]
+    if variants:
+        # Null halves are split, fit and resampled only for corrected variants.
+        needs_null = any(v != "raw" for v in variants)
+        halves = split_half_bootstrap(
+            datasets,
+            reference,
+            replications=replications,
+            seed=cfg.seed,
+            null_datasets=null_datasets if needs_null else None,
+        )
+        for variant in variants:
+            report = rbt_witness_report(halves, variant=variant)
+            payload["rbt"][variant] = _witness_payload(report)
+    if qpt is not None:
+        report = qpt_witness_report(
+            qpt,
+            cfg.raw["qpt"]["assumed_assignment_fidelity"],
+            replications=replications,
+            seed=cfg.seed,
+        )
+        payload["qpt"] = _witness_payload(report)
+    _write_json(_artifact(out, "witness.json", written), payload)
+    name, _ = resolve_target(cfg.target_spec())
+    _fig5_csv(_artifact(out, "negativity.csv", written), payload, name)
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+
 def cmd_gen_sequences(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
-    path = out / "sequences.json"
-    written.append(path)
-    _write_sequences_json(path, cfg)
+    _write_sequences_json(_artifact(out, "sequences.json", written), cfg)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
-    exp, qpt = _simulate_all(cfg)
-    path = out / "dataset.csv"
-    written.append(path)
-    _write_dataset_csv(path, exp, qpt)
+    _simulate_stage(cfg, out, written)
 
 
 def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     dataset_path = stage_in / "dataset.csv"
     datasets, null_datasets, reference, _ = _read_dataset_csv(dataset_path, cfg)
-    fits, null_fits, boot = _compute_fits(cfg, datasets, null_datasets, reference)
-    path = out / "fits.json"
-    written.append(path)
-    _write_json(path, _fits_json(cfg, fits, null_fits, boot))
-    curves = out / "decay_curves.csv"
-    written.append(curves)
-    _decay_curves_csv(curves, _labeled_fits(cfg, datasets, null_datasets, fits, null_fits), reference)
-    boot_path = out / "bootstrap.npz"
-    written.append(boot_path)
-    _write_bootstrap_npz(boot_path, cfg, boot, _sha256(dataset_path))
+    boot = _fit_stage(cfg, out, written, datasets, null_datasets, reference)
+    npz = _artifact(out, "bootstrap.npz", written)
+    _write_bootstrap_npz(npz, cfg, boot, _sha256(dataset_path))
 
 
 def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     boot = _read_bootstrap_npz(stage_in / "bootstrap.npz", cfg, stage_in / "dataset.csv")
-    payload = _reconstruction_json(cfg, boot, _reconstruction(cfg, boot))
-    rec_path = out / "reconstruction.json"
-    written.append(rec_path)
-    _write_json(rec_path, payload)
-    hin_path = out / "hinton.csv"
-    written.append(hin_path)
-    _hinton_csv(hin_path, np.array(payload["e_prime"]).reshape(4, 4))
-
-
-def _witness_enabled(cfg: RunConfig) -> bool:
-    return cfg.raw.get("witness", {}).get("enabled", True)
+    _reconstruct_stage(cfg, out, written, boot)
 
 
 def cmd_witness(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
-    if not _witness_enabled(cfg):
+    if not cfg.raw["witness"]["enabled"]:
         return
-    datasets, null_datasets, reference, qpt = _read_dataset_csv(
-        stage_in / "dataset.csv", cfg
-    )
-    payload = _witness_json(cfg, datasets, null_datasets, reference, qpt)
-    path = out / "witness.json"
-    written.append(path)
-    _write_json(path, payload)
-    fig5 = out / "negativity.csv"
-    written.append(fig5)
-    name, _ = resolve_target(cfg.target_spec())
-    _fig5_csv(fig5, payload, name)
+    data = _read_dataset_csv(stage_in / "dataset.csv", cfg)
+    _witness_stage(cfg, out, written, *data)
 
 
 def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     cmd_gen_sequences(cfg, out, stage_in, written)
-    exp, qpt = _simulate_all(cfg)
-    ds_path = out / "dataset.csv"
-    written.append(ds_path)
-    _write_dataset_csv(ds_path, exp, qpt)
-
-    fits, null_fits, boot = _compute_fits(
-        cfg, exp.datasets, exp.null_datasets, exp.reference
-    )
-    fits_path = out / "fits.json"
-    written.append(fits_path)
-    _write_json(fits_path, _fits_json(cfg, fits, null_fits, boot))
-    curves_path = out / "decay_curves.csv"
-    written.append(curves_path)
-    _decay_curves_csv(
-        curves_path,
-        _labeled_fits(cfg, exp.datasets, exp.null_datasets, fits, null_fits),
-        exp.reference,
-    )
-
-    rec = _reconstruction(cfg, boot)
-    rec_payload = _reconstruction_json(cfg, boot, rec)
-    rec_path = out / "reconstruction.json"
-    written.append(rec_path)
-    _write_json(rec_path, rec_payload)
-    hin_path = out / "hinton.csv"
-    written.append(hin_path)
-    _hinton_csv(hin_path, np.array(rec_payload["e_prime"]).reshape(4, 4))
-
-    if _witness_enabled(cfg):
-        wit_payload = _witness_json(
-            cfg, exp.datasets, exp.null_datasets, exp.reference, qpt
-        )
-        wit_path = out / "witness.json"
-        written.append(wit_path)
-        _write_json(wit_path, wit_payload)
-        fig5 = out / "negativity.csv"
-        written.append(fig5)
-        _fig5_csv(fig5, wit_payload, exp.target_name)
-
+    exp, qpt = _simulate_stage(cfg, out, written)
+    data = (exp.datasets, exp.null_datasets, exp.reference)
+    boot = _fit_stage(cfg, out, written, *data)
+    rec = _reconstruct_stage(cfg, out, written, boot)
+    if cfg.raw["witness"]["enabled"]:
+        _witness_stage(cfg, out, written, *data, qpt)
     qpt_superop = None
     if qpt is not None:
-        qpt_superop = qpt_point_estimate(
-            qpt, cfg.raw["qpt"]["assumed_assignment_fidelity"]
-        )
+        qpt_superop = qpt_point_estimate(qpt, cfg.raw["qpt"]["assumed_assignment_fidelity"])
     summary = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "target": exp.target_name,
         "fidelity": summary_table(exp, boot, qpt_superop, rec),
     }
-    sum_path = out / "summary.json"
-    written.append(sum_path)
-    _write_json(sum_path, summary)
+    _write_json(_artifact(out, "summary.json", written), summary)
 
 
 def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
@@ -880,9 +835,7 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> 
                 )
                 infid_d = 1.0 - avg_fidelity(superop, target_u)
                 rows.append(("duffing", dt, order, drag, infid_d, leakage))
-    path = out / "pulse_scan.csv"
-    written.append(path)
-    with path.open("w", newline="") as f:
+    with _artifact(out, "pulse_scan.csv", written).open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("model", "dt", "order", "drag", "infidelity", "leakage"))
         for model_name, dt, order, drag, infid, leak in rows:

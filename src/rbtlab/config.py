@@ -88,10 +88,10 @@ class RunConfig:
     raw: dict
 
     @classmethod
-    def from_dict(cls, data: dict, fill_defaults: bool = True) -> "RunConfig":
+    def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        merged = _merge_defaults(DEFAULT_CONFIG, data) if fill_defaults else data
+        merged = _merge_defaults(DEFAULT_CONFIG, data)
         validator = jsonschema.Draft202012Validator(load_schema())
         errors = sorted(validator.iter_errors(merged), key=lambda e: list(e.absolute_path))
         if errors:

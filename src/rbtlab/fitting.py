@@ -102,8 +102,9 @@ def prony_seed(values, eps: float = 1e-12):
     return float(np.clip(d2 / d1, RATE_BOUNDS[0], RATE_BOUNDS[1])), False
 
 
-def decay_to_overlap(p: float) -> float:
-    """Overlap implied by a decay rate: ``a = 1 + (d**2 - 1) p = 1 + 3 p``."""
+def decay_to_overlap(p):
+    """Overlap implied by a decay rate: ``a = 1 + (d**2 - 1) p = 1 + 3 p``,
+    elementwise for an array of rates."""
     return 1.0 + 3.0 * p
 
 

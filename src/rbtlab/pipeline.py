@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseModel, SpamModel
-from .fitting import _refit, joint_fit, percentile_ci, resampled_means
+from .fitting import _refit, decay_to_overlap, joint_fit, percentile_ci, resampled_means
 from .groups import rotation_unitary
 from .pauli import avg_fidelity, superop_from_unitary, unital_part
 from .reconstruction import (
@@ -211,7 +211,7 @@ def fit_overlaps(datasets: dict, reference: DecayDataset) -> list:
 
 
 def overlaps_from_fits(fits) -> np.ndarray:
-    return np.array([1.0 + 3.0 * f.rate for f in fits])
+    return np.array([decay_to_overlap(f.rate) for f in fits])
 
 
 def point_reconstructions(fits: list, null_fits: list | None = None) -> dict:
@@ -268,10 +268,10 @@ class ExperimentBootstrap:
         samples and, given null-operation rates, the null and left/right
         corrected samples.  The fused pipeline and a staged ``reconstruct``
         that reloads ``fit``'s bootstrap both go through here."""
-        unital = reconstruct_unital_batch(1.0 + 3.0 * rates)
+        unital = reconstruct_unital_batch(decay_to_overlap(rates))
         null_unital = left = right = None
         if null_rates is not None:
-            null_unital = reconstruct_unital_batch(1.0 + 3.0 * null_rates)
+            null_unital = reconstruct_unital_batch(decay_to_overlap(null_rates))
             inv = np.linalg.inv(null_unital)
             left = np.einsum("bij,bjk->bik", inv, unital)
             right = np.einsum("bij,bjk->bik", unital, inv)
@@ -294,7 +294,7 @@ class ExperimentBootstrap:
         return self.rates.shape[0]
 
     def overlap_samples(self) -> np.ndarray:
-        return 1.0 + 3.0 * self.rates
+        return decay_to_overlap(self.rates)
 
     def stack(self, variant: str) -> np.ndarray | None:
         """Reconstruction samples of a variant: ``raw``, ``left`` or ``right``."""
@@ -501,15 +501,6 @@ def qpt_point_estimate(ds: QptDataset, assumed_assignment_fidelity: float | None
     return qpt_linear_inversion(ds.expectations(), assumed_assignment_fidelity)
 
 
-def _qpt_batch_invert(bins: np.ndarray, resample_idx, assumed_f):
-    means = bins[np.arange(bins.shape[0])[None, :, None], resample_idx].mean(axis=2)
-    expectations = 2.0 * means - 1.0
-    out = np.empty((means.shape[0], 4, 4))
-    for b in range(means.shape[0]):
-        out[b] = qpt_linear_inversion(expectations[b].reshape(4, 3), assumed_f)
-    return out
-
-
 def qpt_witness_report(
     ds: QptDataset,
     assumed_assignment_fidelity: float | None,
@@ -534,7 +525,10 @@ def qpt_witness_report(
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
         idx = rng.integers(0, nb, size=(stop - start, rows, nb))
-        stack = _qpt_batch_invert(second.bins, idx, assumed_assignment_fidelity)
+        means = second.bins[np.arange(rows)[None, :, None], idx].mean(axis=2)
+        stack = qpt_linear_inversion(
+            (2.0 * means - 1.0).reshape(-1, 4, 3), assumed_assignment_fidelity
+        )
         stack[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])  # unital part, batched
         values[start:stop] = witness_expectation_batch(witness, stack)
     lo, hi = percentile_ci(values)

@@ -166,14 +166,15 @@ def qpt_linear_inversion(
     """Standard process tomography by linear inversion.
 
     ``expectations`` is the 4x3 table of X/Y/Z expectation estimates for the
-    inputs |0>, |1>, |+>, |+i>.  If an assumed assignment fidelity is given,
+    inputs |0>, |1>, |+>, |+i>, or a stack of such tables, which gives the
+    stack of transfer matrices.  If an assumed assignment fidelity is given,
     the data are first rescaled so the measurement spans [-1, 1].  The
     returned transfer matrix is trace preserving by construction (first row
     fixed); no complete-positivity constraint is imposed.
     """
     m = np.asarray(expectations, dtype=float)
-    if m.shape != (4, 3):
-        raise ValueError(f"expected a 4x3 expectation table, got {m.shape}")
+    if m.shape[-2:] != (4, 3):
+        raise ValueError(f"expected 4x3 expectation tables, got {m.shape}")
     if assumed_assignment_fidelity is not None:
         visibility = 2.0 * assumed_assignment_fidelity - 1.0
         if abs(visibility) < 1e-9:
@@ -182,10 +183,9 @@ def qpt_linear_inversion(
     design = QPT_INPUT_STATES.T
     if abs(np.linalg.det(design)) < 1e-12:
         raise ValueError("singular input-state design matrix")
-    rows = np.linalg.solve(design.T, m).T
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0
-    out[1:, :] = rows
+    out = np.zeros(m.shape[:-2] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1:, :] = np.linalg.solve(design.T, m).swapaxes(-1, -2)
     return out
 
 

@@ -236,6 +236,7 @@ class TestStages:
             "reconstruction.json",
             "hinton.csv",
             "witness.json",
+            "negativity.csv",
         ):
             assert (fused / name).read_bytes() == (staged / name).read_bytes(), name
 

@@ -174,6 +174,19 @@ class TestQptInversion:
         est = qpt_linear_inversion(qpt_true_expectations(chan))
         assert np.abs(est - chan).max() < 1e-10
 
+    @pytest.mark.parametrize("assumed", [None, 0.91])
+    def test_stack_equals_per_table(self, rng, assumed):
+        # Bootstrap stacks are inverted in one call; every table must come
+        # out bit for bit as its own inversion.
+        tables = 2.0 * rng.integers(0, 101, size=(2, 50, 4, 3)) / 100.0 - 1.0
+        tables[0, 0] = rng.uniform(-1.0, 1.0, size=(4, 3))
+        stack = qpt_linear_inversion(tables, assumed)
+        assert stack.shape == (2, 50, 4, 4)
+        for index in np.ndindex(tables.shape[:2]):
+            single = qpt_linear_inversion(tables[index], assumed)
+            assert single.shape == (4, 4)
+            assert np.array_equal(stack[index], single)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="4x3"):
             qpt_linear_inversion(np.zeros((3, 4)))

@@ -583,30 +583,30 @@ def _reconstruction_json(cfg, boot, rec: Reconstruction) -> dict:
     return payload
 
 
-def _decay_curves_csv(path: Path, labeled_fits, reference: DecayDataset) -> None:
-    """Plot-ready decay curves: measured per-length means next to the fitted
-    model value, one file for all overlap experiments plus the reference."""
+def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(("role", "j", "n", "measured", "model"))
-        ref_means = reference.means()
-        for role, j, ds, fit in labeled_fits:
-            means = ds.means()
-            for n in ds.lengths():
-                model = fit.offset if math.isinf(n) else fit.scale * fit.rate ** n + fit.offset
-                writer.writerow(
-                    (role, j, _format_length(n), repr(float(means[n])), repr(float(model)))
-                )
-        first_fit = labeled_fits[0][3]
-        for n in reference.lengths():
-            model = (
-                first_fit.offset
-                if math.isinf(n)
-                else first_fit.scale * first_fit.ref_rate ** n + first_fit.offset
-            )
-            writer.writerow(
-                ("reference", "", _format_length(n), repr(float(ref_means[n])), repr(float(model)))
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _decay_curve_rows(labeled_fits, reference: DecayDataset):
+    """Plot-ready decay curves: measured per-length means next to the fitted
+    model value, for all overlap experiments plus the reference."""
+    for role, j, ds, fit in labeled_fits:
+        means = ds.means()
+        for n in ds.lengths():
+            model = fit.offset if math.isinf(n) else fit.scale * fit.rate ** n + fit.offset
+            yield role, j, _format_length(n), repr(float(means[n])), repr(float(model))
+    first_fit = labeled_fits[0][3]
+    ref_means = reference.means()
+    for n in reference.lengths():
+        model = (
+            first_fit.offset
+            if math.isinf(n)
+            else first_fit.scale * first_fit.ref_rate ** n + first_fit.offset
+        )
+        yield "reference", "", _format_length(n), repr(float(ref_means[n])), repr(float(model))
 
 
 def _labeled_fits(cfg, datasets, null_datasets, boot: ExperimentBootstrap):
@@ -619,41 +619,12 @@ def _labeled_fits(cfg, datasets, null_datasets, boot: ExperimentBootstrap):
     return out
 
 
-def _hinton_csv(path: Path, e_prime: np.ndarray) -> None:
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("row", "col", "magnitude", "sign", "accessible"))
-        for rec in hinton_records(e_prime):
-            writer.writerow(
-                (
-                    rec["row"],
-                    rec["col"],
-                    repr(rec["magnitude"]),
-                    rec["sign"],
-                    int(rec["accessible"]),
-                )
-            )
-
-
-def _fig5_csv(path: Path, witness_payload: dict, target_name: str) -> None:
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("method", "gate", "expectation", "ci_low", "ci_high"))
-        for variant, rep in witness_payload["rbt"].items():
-            writer.writerow(
-                (
-                    f"rbt-{variant}",
-                    target_name,
-                    repr(rep["expectation"]),
-                    repr(rep["ci"][0]),
-                    repr(rep["ci"][1]),
-                )
-            )
-        if witness_payload["qpt"] is not None:
-            rep = witness_payload["qpt"]
-            writer.writerow(
-                ("qpt", target_name, repr(rep["expectation"]), repr(rep["ci"][0]), repr(rep["ci"][1]))
-            )
+def _negativity_rows(witness_payload: dict, target_name: str):
+    reports = [(f"rbt-{variant}", rep) for variant, rep in witness_payload["rbt"].items()]
+    if witness_payload["qpt"] is not None:
+        reports.append(("qpt", witness_payload["qpt"]))
+    for method, rep in reports:
+        yield method, target_name, repr(rep["expectation"]), repr(rep["ci"][0]), repr(rep["ci"][1])
 
 
 # ---------------------------------------------------------------------------
@@ -701,10 +672,10 @@ def _simulate_stage(cfg, out: Path, written: list):
 def _fit_stage(cfg, out: Path, written: list, datasets, null_datasets, reference):
     boot = _compute_fits(cfg, datasets, null_datasets, reference)
     _write_json(_artifact(out, "fits.json", written), _fits_json(cfg, boot))
-    _decay_curves_csv(
+    _write_csv(
         _artifact(out, "decay_curves.csv", written),
-        _labeled_fits(cfg, datasets, null_datasets, boot),
-        reference,
+        ("role", "j", "n", "measured", "model"),
+        _decay_curve_rows(_labeled_fits(cfg, datasets, null_datasets, boot), reference),
     )
     return boot
 
@@ -714,7 +685,14 @@ def _reconstruct_stage(cfg, out: Path, written: list, boot: ExperimentBootstrap)
     rec = build_reconstruction(target_unitary, boot)
     payload = _reconstruction_json(cfg, boot, rec)
     _write_json(_artifact(out, "reconstruction.json", written), payload)
-    _hinton_csv(_artifact(out, "hinton.csv", written), rec.unital)
+    _write_csv(
+        _artifact(out, "hinton.csv", written),
+        ("row", "col", "magnitude", "sign", "accessible"),
+        (
+            (r["row"], r["col"], repr(r["magnitude"]), r["sign"], int(r["accessible"]))
+            for r in hinton_records(rec.unital)
+        ),
+    )
     return rec
 
 
@@ -745,7 +723,11 @@ def _witness_stage(cfg, out: Path, written: list, datasets, null_datasets, refer
         payload["qpt"] = _witness_payload(report)
     _write_json(_artifact(out, "witness.json", written), payload)
     name, _ = resolve_target(cfg.target_spec())
-    _fig5_csv(_artifact(out, "negativity.csv", written), payload, name)
+    _write_csv(
+        _artifact(out, "negativity.csv", written),
+        ("method", "gate", "expectation", "ci_low", "ci_high"),
+        _negativity_rows(payload, name),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -828,18 +810,18 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> 
         for order in (1, 2):
             pulse = phase_ramp(env, dt, RotationSpec(axis=target_axis, angle=angle), order)
             infid = unitary_infidelity(simulate_qubit(pulse), target_u)
-            rows.append(("qubit", dt, order, 0, infid, 0.0))
+            rows.append(("qubit", repr(dt), order, 0, repr(infid), repr(0.0)))
             for drag in (0, 1):
                 superop, leakage = simulate_duffing(
                     pulse, model, drag=bool(drag), drag_coefficient=pcfg["drag_coefficient"]
                 )
                 infid_d = 1.0 - avg_fidelity(superop, target_u)
-                rows.append(("duffing", dt, order, drag, infid_d, leakage))
-    with _artifact(out, "pulse_scan.csv", written).open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("model", "dt", "order", "drag", "infidelity", "leakage"))
-        for model_name, dt, order, drag, infid, leak in rows:
-            writer.writerow((model_name, repr(dt), order, drag, repr(infid), repr(leak)))
+                rows.append(("duffing", repr(dt), order, drag, repr(infid_d), repr(leakage)))
+    _write_csv(
+        _artifact(out, "pulse_scan.csv", written),
+        ("model", "dt", "order", "drag", "infidelity", "leakage"),
+        rows,
+    )
 
 
 COMMANDS = {

@@ -92,6 +92,10 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
         merged = _merge_defaults(DEFAULT_CONFIG, data)
+        if "target" in data:
+            # A gate name and an axis/angle rotation are alternatives, so a
+            # given target replaces the default whole.
+            merged["target"] = copy.deepcopy(data["target"])
         validator = jsonschema.Draft202012Validator(load_schema())
         errors = sorted(validator.iter_errors(merged), key=lambda e: list(e.absolute_path))
         if errors:

@@ -63,6 +63,7 @@ _EDGE_U = 15.0
 # the resample temporaries below that size keeps a bootstrap's peak memory
 # the same from run to run.
 _RESAMPLE_ELEMENTS = 1 << 18
+_RESAMPLE_CHUNK = 64  # replications in one chunk, at most
 
 
 @dataclass(frozen=True)
@@ -141,33 +142,26 @@ def _to_u(p_j, p_ref, scale, offset) -> np.ndarray:
 
 def _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
     """The joint objective of a batch of parameter rows and its closed-form
-    gradient, both called as ``f(u, rows)``."""
+    gradient, both called as ``f(u, rows)``: parameter row b is fit against
+    data row ``rows[b]``, so the minimizer can compact its active set."""
     n_o = np.asarray(n_o, dtype=np.int64)
     n_r = np.asarray(n_r, dtype=np.int64)
     k_o = n_o.size + (inf_o is not None)
     k_r = n_r.size + (inf_r is not None)
-    # Data with a single row broadcasts over any batch of parameter rows;
-    # otherwise parameter row b is fit against data row b, and the minimizer
-    # passes explicit row indices when it compacts its active set.
-    per_row = y_o.shape[0] > 1 or y_r.shape[0] > 1
 
     def curves(u, rows):
         """(rate, lengths, data, infinite-length data, weight) of both curves,
         plus the shared scale and offset."""
-        if per_row and rows is not None:
-            yo, yr = y_o[rows], y_r[rows]
-            io = None if inf_o is None else inf_o[rows]
-            ir = None if inf_r is None else inf_r[rows]
-        else:
-            yo, yr, io, ir = y_o, y_r, inf_o, inf_r
+        io = None if inf_o is None else inf_o[rows]
+        ir = None if inf_r is None else inf_r[rows]
         p_j, p_ref, scale, offset = _to_params(u)
         return (
-            ((p_j, n_o, yo, io, k_o), (p_ref, n_r, yr, ir, k_r)),
+            ((p_j, n_o, y_o[rows], io, k_o), (p_ref, n_r, y_r[rows], ir, k_r)),
             scale,
             offset,
         )
 
-    def objective(u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def objective(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         pair, scale, offset = curves(u, rows)
         total = 0.0
         for p, n, y, inf, k in pair:
@@ -178,7 +172,7 @@ def _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
             total = total + sq / k
         return total
 
-    def gradient(u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def gradient(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         pair, scale, offset = curves(u, rows)
         # Derivatives with respect to (rate, reference rate, scale, offset):
         # each curve's residual r_n = A p^n + B - y_n contributes
@@ -389,13 +383,14 @@ def joint_fit(overlap: DecayDataset, reference: DecayDataset) -> FitResult:
     n_o, y_o, inf_o = curve_arrays(overlap)
     n_r, y_r, inf_r = curve_arrays(reference)
     u0, degenerate = _starts(n_o, y_o, inf_o, n_r, y_r, inf_r)
+    starts = u0.shape[0]
     res = _fit_many(
         n_o,
-        y_o[None, :],
-        None if inf_o is None else np.array([inf_o]),
+        np.tile(y_o, (starts, 1)),
+        None if inf_o is None else np.full(starts, inf_o),
         n_r,
-        y_r[None, :],
-        None if inf_r is None else np.array([inf_r]),
+        np.tile(y_r, (starts, 1)),
+        None if inf_r is None else np.full(starts, inf_r),
         u0,
     )
     best = int(np.argmin(res["objective"]))
@@ -410,13 +405,37 @@ def joint_fit(overlap: DecayDataset, reference: DecayDataset) -> FitResult:
     )
 
 
+def _resample_bins(bins: np.ndarray, replications: int, rng, reduce, draws=None):
+    """One ``(replications,)`` array of ``reduce`` over bin resamples.
+
+    Each replication draws ``draws`` bins (default: as many as a row has)
+    with replacement from every row of ``bins``; ``reduce`` maps a
+    ``(k, rows, draws)`` chunk of draws to its ``k`` values.  A chunk holds
+    at most ``_RESAMPLE_CHUNK`` replications and ``_RESAMPLE_ELEMENTS``
+    index elements; the result does not depend on the chunking.
+    """
+    rows, nb = bins.shape
+    draws = draws or nb
+    step = max(1, min(_RESAMPLE_CHUNK, _RESAMPLE_ELEMENTS // (rows * draws)))
+    out = np.empty(replications)
+    for start in range(0, replications, step):
+        stop = min(start + step, replications)
+        idx = rng.integers(0, nb, size=(stop - start, rows, draws))
+        out[start:stop] = reduce(bins[np.arange(rows)[None, :, None], idx])
+    return out
+
+
+def _pooled_mean(drawn: np.ndarray) -> np.ndarray:
+    # One mean over rows and draws: a mean of per-row means rounds differently.
+    return drawn.mean(axis=(1, 2))
+
+
 def resampled_means(
     ds: DecayDataset,
     replications: int,
     seed: int,
     samples_per_config: int | None = None,
     stream_label: str = "bootstrap",
-    chunk: int = 64,
 ):
     """Per-length means of ``replications`` bin resamples of a dataset.
 
@@ -424,25 +443,11 @@ def resampled_means(
     ``samples_per_config`` bins drawn with replacement from its own bins
     (default: as many as it has); the per-length mean pools all draws.
     Returns a dict mapping length to a ``(replications,)`` array.
-
-    At most ``chunk`` replications are drawn at once, fewer when a chunk's
-    index would exceed ``_RESAMPLE_ELEMENTS``; the result does not depend
-    on the chunking.
     """
     out = {}
     for n, grp in ds.groups.items():
         rng = stream_generator(seed, stream_label, ds.label, str(n))
-        rows, nb = grp.bins.shape
-        draws = samples_per_config or nb
-        step = max(1, min(chunk, _RESAMPLE_ELEMENTS // (rows * draws)))
-        means = np.empty(replications)
-        for start in range(0, replications, step):
-            stop = min(start + step, replications)
-            idx = rng.integers(0, nb, size=(stop - start, rows, draws))
-            means[start:stop] = grp.bins[
-                np.arange(rows)[None, :, None], idx
-            ].mean(axis=(1, 2))
-        out[n] = means
+        out[n] = _resample_bins(grp.bins, replications, rng, _pooled_mean, samples_per_config)
     return out
 
 

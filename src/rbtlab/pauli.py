@@ -77,27 +77,32 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _conjugation_traces(k: np.ndarray) -> np.ndarray:
+    """``tr(P_i K P_j K+)`` for every Pauli pair: twice the (complex) transfer
+    matrix of ``rho -> K rho K+``."""
+    rotated = np.einsum("ab,jbc,dc->jad", k, PAULIS, k.conj())
+    return np.einsum("iba,jab->ij", PAULIS, rotated)
+
+
 def superop_from_unitary(u: np.ndarray) -> np.ndarray:
     """Pauli-Liouville transfer matrix of the unitary channel ``rho -> U rho U+``.
 
     The result is a real orthogonal 4x4 matrix with entry
     ``(1/2) tr(P_i U P_j U+)``.  Non-unitary input is rejected.
     """
-    u = _require_unitary(u)
-    rotated = np.einsum("ab,jbc,dc->jad", u, PAULIS, u.conj())
-    s = 0.5 * np.einsum("iba,jab->ij", PAULIS, rotated)
+    s = 0.5 * _conjugation_traces(_require_unitary(u))
     if np.abs(s.imag).max() > 1e-12:
         raise ValueError("transfer matrix of a unitary channel must be real")
     return s.real
 
 
 def superop_from_kraus(kraus_ops) -> np.ndarray:
-    """Pauli-Liouville transfer matrix of ``rho -> sum_k K rho K+``."""
+    """Pauli-Liouville transfer matrix of ``rho -> sum_k K rho K+``; the
+    operators need not be trace preserving, so one 2x2 block of a larger
+    propagator gives its projected map."""
     s = np.zeros((4, 4))
     for k in kraus_ops:
-        k = np.asarray(k, dtype=complex)
-        rotated = np.einsum("ab,jbc,dc->jad", k, PAULIS, k.conj())
-        s += 0.5 * np.einsum("iba,jab->ij", PAULIS, rotated).real
+        s += 0.5 * _conjugation_traces(np.asarray(k, dtype=complex)).real
     return s
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseModel, SpamModel
-from .fitting import _refit, decay_to_overlap, joint_fit, percentile_ci, resampled_means
+from .fitting import (
+    _refit,
+    _resample_bins,
+    decay_to_overlap,
+    joint_fit,
+    percentile_ci,
+    resampled_means,
+)
 from .groups import rotation_unitary
 from .pauli import avg_fidelity, superop_from_unitary, unital_part
 from .reconstruction import (
@@ -105,10 +112,6 @@ class Experiment:
     reference: DecayDataset
     noise: NoiseModel
     spam: SpamModel
-
-    @property
-    def is_null_target(self) -> bool:
-        return self.target_unitary is None
 
     def applied_target_channel(self) -> np.ndarray:
         """The channel actually played in each target slot (noise included)."""
@@ -518,26 +521,24 @@ def qpt_witness_report(
     e1 = unital_part(qpt_point_estimate(first, assumed_assignment_fidelity))
     witness = build_witness(e1)
     e2 = unital_part(qpt_point_estimate(second, assumed_assignment_fidelity))
-    rows, nb = second.bins.shape
-    rng = stream_generator(seed, "bootstrap", second.label)
-    values = np.empty(replications)
-    chunk = 200
-    for start in range(0, replications, chunk):
-        stop = min(start + chunk, replications)
-        idx = rng.integers(0, nb, size=(stop - start, rows, nb))
-        means = second.bins[np.arange(rows)[None, :, None], idx].mean(axis=2)
+
+    def witness_values(drawn):
+        # Each replication's per-row means, re-inverted as one stack.
         stack = qpt_linear_inversion(
-            (2.0 * means - 1.0).reshape(-1, 4, 3), assumed_assignment_fidelity
+            (2.0 * drawn.mean(axis=2) - 1.0).reshape(-1, 4, 3), assumed_assignment_fidelity
         )
         stack[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])  # unital part, batched
-        values[start:stop] = witness_expectation_batch(witness, stack)
+        return witness_expectation_batch(witness, stack)
+
+    rng = stream_generator(seed, "bootstrap", second.label)
+    values = _resample_bins(second.bins, replications, rng, witness_values)
     lo, hi = percentile_ci(values)
     return WitnessReport(
         witness=witness,
         expectation=evaluate_witness(witness, e2),
         ci=(float(lo), float(hi)),
         replications=replications,
-        samples_per_config=nb,
+        samples_per_config=second.bins.shape[1],
         eig_multiplicity=eig_multiplicity(e1),
     )
 

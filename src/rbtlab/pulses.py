@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupElement
-from .pauli import avg_fidelity
+from .pauli import PAULIS, avg_fidelity, superop_from_kraus
 
 __all__ = [
     "RotationSpec",
@@ -222,18 +222,8 @@ def simulate_duffing(
         step = (vecs * np.exp(-1j * vals * pulse.dt)) @ vecs.conj().T
         u = step @ u
     block = _frame_unitary(pulse.frame_update) @ u[:2, :2]
-    kraus_superop = superop_from_kraus_block(block)
     leakage = 1.0 - float(np.real(np.trace(block.conj().T @ block))) / 2.0
-    return kraus_superop, leakage
-
-
-def superop_from_kraus_block(block: np.ndarray) -> np.ndarray:
-    """Transfer matrix of ``rho -> M rho M+`` for a (possibly non-unitary)
-    2x2 block."""
-    from .pauli import PAULIS
-
-    rotated = np.einsum("ab,jbc,dc->jad", block, PAULIS, block.conj())
-    return 0.5 * np.einsum("iba,jab->ij", PAULIS, rotated).real
+    return superop_from_kraus([block]), leakage
 
 
 def axis_angle_from_unitary(u: np.ndarray):
@@ -242,8 +232,6 @@ def axis_angle_from_unitary(u: np.ndarray):
     Returns ``(axis, angle)`` with angle in [0, 2*pi); the identity comes
     back with zero angle and the Z axis.
     """
-    from .pauli import PAULIS
-
     u = np.asarray(u, dtype=complex)
     coeffs = np.einsum("kab,ba->k", PAULIS, u) / 2.0
     a0 = coeffs[0]
@@ -292,4 +280,4 @@ def atomic_pulse_for(
 def unitary_infidelity(u: np.ndarray, target: np.ndarray) -> float:
     """One minus the average gate fidelity between two 2x2 propagators; also
     valid for trace-decreasing blocks via the channel overlap formula."""
-    return 1.0 - avg_fidelity(superop_from_kraus_block(np.asarray(u, dtype=complex)), target)
+    return 1.0 - avg_fidelity(superop_from_kraus([u]), target)

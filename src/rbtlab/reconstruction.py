@@ -109,32 +109,28 @@ def default_predictor() -> np.ndarray:
     return _DEFAULT_PREDICTOR
 
 
-def reconstruct_unital(overlaps, predictor: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-norm least-squares estimate of the unital transfer matrix.
+def reconstruct_unital_batch(overlaps: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares estimates of the unital transfer matrices
+    of a (batch, 10) overlap array.
 
     Solved through an SVD factorization restricted to the predictor's
     nonzero columns rather than an explicit pseudo-inverse; coordinates in
     identically-zero columns (the kernel) are returned as exact zeros, which
     is the minimum-norm completion.
     """
-    if isinstance(overlaps, OverlapVector):
-        overlaps = overlaps.values
-    a = np.asarray(overlaps, dtype=float)
-    p = default_predictor() if predictor is None else predictor
-    live = p.any(axis=0)
-    solution = np.zeros(p.shape[1])
-    solution[live] = np.linalg.lstsq(p[:, live], a, rcond=None)[0]
-    return solution.reshape(4, 4)
-
-
-def reconstruct_unital_batch(overlaps: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`reconstruct_unital` for a (batch, 10) overlap array."""
     p = default_predictor()
     live = p.any(axis=0)
     coords = np.linalg.lstsq(p[:, live], np.asarray(overlaps, dtype=float).T, rcond=None)[0]
     out = np.zeros((overlaps.shape[0], 16))
     out[:, live] = coords.T
     return out.reshape(-1, 4, 4)
+
+
+def reconstruct_unital(overlaps) -> np.ndarray:
+    """:func:`reconstruct_unital_batch` of one overlap vector."""
+    if isinstance(overlaps, OverlapVector):
+        overlaps = overlaps.values
+    return reconstruct_unital_batch(np.asarray(overlaps, dtype=float)[None, :])[0]
 
 
 def corrected(e_prime: np.ndarray, null_prime: np.ndarray, side: str) -> np.ndarray:

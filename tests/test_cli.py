@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -142,6 +143,15 @@ class TestConfig:
         a = RunConfig.from_dict({"seed": 3, "shots": 400})
         b = RunConfig.from_dict({"shots": 400, "seed": 3})
         assert a.config_hash() == b.config_hash()
+
+    def test_axis_angle_target_runs(self, tmp_path):
+        # A given target replaces the default {"name": "hadamard"} whole;
+        # merged into it, an axis/angle target failed the schema's oneOf.
+        target = {"axis": [1, 2, 3], "angle": 1.1}
+        config = tmp_path / "axis.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, target=target)))
+        assert RunConfig.from_file(config).raw["target"] == target
+        assert run_cli("pipeline", "--config", config, "--out", tmp_path / "out") == 0
 
 
 class TestPipeline:
@@ -668,3 +678,37 @@ class TestPulseScan:
         }
         for dt in dts:
             assert duffing[(dt, 2, 1)] < duffing[(dt, 2, 0)]
+
+
+class TestBytePin:
+    """The bytes of the tiny config's artifacts: the nine fused ``pipeline``
+    files, the ``bootstrap.npz`` of a staged ``fit`` on them and a small
+    ``pulse-scan``.  The hashes were recorded with numpy 2.4.6 on x86-64
+    Linux; a change that alters artifact bytes on purpose updates them and
+    names the changed artifacts."""
+
+    SHA256 = {
+        "sequences.json": "a43a8dd86421f3a6665e5c3120b71651e648b0574051539bdc6db4099cfe2625",
+        "dataset.csv": "65f09b58ad83cde973e099ea057c556d193043dabbe9da995d1225053e8f4e1c",
+        "fits.json": "77b67ad55c9a8f0baed664aa6fd62d629e56a5d57d340aecc455ca97698a374b",
+        "decay_curves.csv": "8c36fc36dc9e18f63c9eed128379dae84a5915fe805f23ec045135cd0f985242",
+        "reconstruction.json": "e08d4b2ab11af3b984caebb461de0801fb8946664cc52b43817f7a51c70436fe",
+        "hinton.csv": "14edd4f78d99aa7a3da81050e93b4dc599a4541e8706c07a3c94e2cdfd378ccc",
+        "witness.json": "5d74abe5832885ca6a977082e9edec97976ba685f1d51316a6a180f4d18a5c6d",
+        "negativity.csv": "3e1865bd523056b6cb7a5ff16231deb64c6def8282d7efd24ed4c3fab2973619",
+        "summary.json": "fb93faf817b8f6df1a91698d06769774c57338c63ba780042af65ca4a7c0daf0",
+        "bootstrap.npz": "1ac023324a153753e3a036b176e5fdf2bb6d6951639f5b7bfdf0c232b7e7349c",
+        "pulse_scan.csv": "3ede7275631c80b721db8873b715ee66d507ed73ba7c0f32104dab193e8bce10",
+    }
+
+    def test_artifact_hashes(self, tiny_config, tmp_path):
+        fused, staged = tmp_path / "fused", tmp_path / "staged"
+        assert run_cli("pipeline", "--config", tiny_config, "--out", fused) == 0
+        assert run_cli("fit", "--config", tiny_config, "--out", staged, "--stage-input", fused) == 0
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps(dict(TINY_CONFIG, pulse_scan={"sample_counts": [8, 16]})))
+        assert run_cli("pulse-scan", "--config", scan, "--out", staged) == 0
+        paths = [fused / name for name in PIPELINE_FILES]
+        paths += [staged / "bootstrap.npz", staged / "pulse_scan.csv"]
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+        assert got == self.SHA256, f"numpy {np.__version__}"

@@ -204,11 +204,11 @@ class TestGradient:
         )
 
     @pytest.mark.parametrize("with_inf", [False, True], ids=["finite", "with-inf"])
-    @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per-row"])
-    def test_matches_central_difference(self, rng, per_row, with_inf):
-        # Per-row data are fit on a subset of their rows, as the minimizer
-        # does once some rows have converged; single-row data broadcast.
-        fun, grad = self.factory(rng, 12 if per_row else 1, with_inf)
+    @pytest.mark.parametrize("data_rows", [12], ids=["per-row"])
+    def test_matches_central_difference(self, rng, data_rows, with_inf):
+        # Data are fit on a subset of their rows, as the minimizer does once
+        # some rows have converged.
+        fun, grad = self.factory(rng, data_rows, with_inf)
         rows = np.array([0, 3, 4, 7, 11])
         u = rng.normal(0.0, 3.0, size=(rows.size, 4))
         numeric = np.empty_like(u)
@@ -219,7 +219,7 @@ class TestGradient:
         np.testing.assert_allclose(grad(u, rows), numeric, rtol=0, atol=1e-8)
 
     def test_zero_beyond_clip(self, rng):
-        fun, grad = self.factory(rng, 1, True)
+        fun, grad = self.factory(rng, 6, True)
         u = rng.normal(0.0, 2.0, size=(6, 4))
         u[0, 0], u[1, 1], u[2, 2], u[3, 3] = 41.0, -45.0, 60.0, -40.5
         u[4, :] = [-50.0, 50.0, 41.0, -41.0]
@@ -276,11 +276,12 @@ class TestBootstrap:
 
     def test_resampled_means_deterministic_across_chunking(self, monkeypatch):
         ds = synth_dataset(1 / 3, seed=61, label="chunk")
-        a = resampled_means(ds, 150, seed=9, chunk=7)
-        b = resampled_means(ds, 150, seed=9, chunk=64)
+        a = resampled_means(ds, 150, seed=9)
+        monkeypatch.setattr(fitting, "_RESAMPLE_CHUNK", 7)
+        b = resampled_means(ds, 150, seed=9)
         # An element budget below one replication's index: one per chunk.
         monkeypatch.setattr(fitting, "_RESAMPLE_ELEMENTS", 1)
-        c = resampled_means(ds, 150, seed=9, chunk=64)
+        c = resampled_means(ds, 150, seed=9)
         for n in a:
             assert np.array_equal(a[n], b[n])
             assert np.array_equal(a[n], c[n])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rbtlab import fitting
 from rbtlab.channels import NoiseModel, SpamModel, depolarizing
 from rbtlab.groups import rotation_unitary
 from rbtlab.pauli import superop_from_unitary, unital_part
@@ -157,6 +158,26 @@ class TestWitnessReports:
         ds = sample_qpt_dataset(chan, assignment_fidelity=0.95, shots=10_000, bin_size=100, seed=11)
         report = qpt_witness_report(ds, assumed_assignment_fidelity=0.95, replications=400, seed=4)
         assert report.ci[1] >= 0.0
+
+    def test_qpt_report_independent_of_chunking(self, monkeypatch):
+        # The QPT bootstrap runs on the shared bin resampler; its chunk caps
+        # must not change what the replications draw.
+        noise = NoiseModel.depolarizing_model(0.9948)
+        chan = noise.apply(superop_from_unitary(rotation_unitary((1, 0, 1), np.pi)))
+        ds = sample_qpt_dataset(chan, assignment_fidelity=0.95, shots=10_000, bin_size=100, seed=11)
+
+        def report():
+            return qpt_witness_report(ds, assumed_assignment_fidelity=0.95, replications=150, seed=4)
+
+        base = report()
+        monkeypatch.setattr(fitting, "_RESAMPLE_ELEMENTS", 1)
+        one_per_chunk = report()
+        monkeypatch.undo()
+        monkeypatch.setattr(fitting, "_RESAMPLE_CHUNK", 7)
+        seven_per_chunk = report()
+        for other in (one_per_chunk, seven_per_chunk):
+            assert other.expectation == base.expectation
+            assert other.ci == base.ci
 
     def test_noiseless_data_ci_above_minus_epsilon(self):
         # exact (fluctuation-free) bins for a physical truth: the bootstrap

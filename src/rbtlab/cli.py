@@ -6,9 +6,10 @@ Subcommands: ``pipeline``, ``gen-sequences``, ``simulate``, ``fit``,
 that takes its inputs in memory and writes its artifacts.  A stage command
 rereads the artifacts of an earlier stage (``--stage-input``, defaulting to
 the output directory) and calls its stage function: ``fit`` and ``witness``
-read ``dataset.csv``, and ``reconstruct`` reads the ``bootstrap.npz`` that
-``fit`` wrote instead of refitting.  ``pipeline`` calls the same stage
-functions in order and hands the datasets and the bootstrap over in memory.
+rebuild the ``Experiment`` from ``dataset.csv``, and ``reconstruct`` reads the
+``bootstrap.npz`` that ``fit`` wrote instead of refitting.  ``pipeline``
+calls the same stage functions in order and hands the simulated
+``Experiment`` and the bootstrap over in memory.
 Exit codes: 0 success, 2 configuration or artifact schema error, 3 numerical
 failure, 4 I/O error.
 """
@@ -34,9 +35,11 @@ from .fitting import FitResult, decay_to_overlap
 from .pauli import avg_fidelity, superop_to_list
 from .pipeline import (
     N_OVERLAPS,
+    REFERENCE_OVERLAP,
     Experiment,
     ExperimentBootstrap,
     build_reconstruction,
+    dataset_layout,
     experiment_bootstrap,
     percentile_ci,
     qpt_point_estimate,
@@ -56,7 +59,6 @@ from .witness import WitnessReport
 __all__ = ["main"]
 
 DATASET_HEADER = ("role", "j", "n", "tuple_id", "bin_id", "mean")
-OVERLAPS = range(1, N_OVERLAPS + 1)
 
 # FitResult's point-fit fields, stored in bootstrap.npz with these dtypes.
 FIT_FIELDS = {
@@ -90,16 +92,18 @@ def _parse_length(text: str):
     return INFINITE if text == "inf" else int(text)
 
 
+def _j_text(j) -> str:
+    """``dataset.csv``'s spelling of a layout ``j``: empty for the reference."""
+    return "" if j is None else str(j)
+
+
 def _sequence_sets(cfg: RunConfig):
-    """(role, j, SequenceSet) of every dataset, in sequences.json order."""
-    _name, unitary = resolve_target(cfg.target_spec())
-    roles = [("target", OVERLAPS)]
-    if unitary is not None:
-        roles.append(("null", OVERLAPS))
-    roles.append(("reference", [1]))
-    for role, js in roles:
-        for j in js:
-            yield role, j, exhaustive_set(j, lengths=cfg.lengths(), repeats=cfg.repeats())
+    """(role, j, SequenceSet) of every dataset, in sequences.json order; the
+    reference's ``j`` is the overlap its sequences come from."""
+    name, unitary = resolve_target(cfg.target_spec())
+    for role, j, _label in dataset_layout(name, unitary is not None):
+        j = j or REFERENCE_OVERLAP
+        yield role, j, exhaustive_set(j, lengths=cfg.lengths(), repeats=cfg.repeats())
 
 
 def _json_int_list(count: int, indent: int) -> str:
@@ -185,18 +189,15 @@ def _write_bin_lines(f, prefixes: list, bins: np.ndarray) -> None:
 
 
 def _write_dataset_csv(path: Path, exp: Experiment, qpt: QptDataset | None) -> None:
-    """One line per bin: target, null and reference overlap rows by length,
+    """One line per bin: the decay datasets in layout order, each by length,
     then the tomography rows (see README, "``dataset.csv`` format")."""
-    decays = [(ds.label, str(j), ds) for j, ds in sorted(exp.datasets.items())]
-    decays += [(ds.label, str(j), ds) for j, ds in sorted((exp.null_datasets or {}).items())]
-    decays.append(("reference", "", exp.reference))
     with path.open("w", newline="") as f:
         csv.writer(f).writerow(DATASET_HEADER)
-        for role, j_text, ds in decays:
+        for (_role, j), ds in exp.decays.items():
             for n in ds.lengths():
                 grp = ds.groups[n]
-                n_text = _format_length(n)
-                prefixes = _csv_prefixes((role, j_text, n_text, rid) for rid in grp.row_ids)
+                fields = (ds.label, _j_text(j), _format_length(n))
+                prefixes = _csv_prefixes((*fields, rid) for rid in grp.row_ids)
                 _write_bin_lines(f, prefixes, grp.bins)
         if qpt is not None:
             rows = range(qpt.bins.shape[0])
@@ -264,7 +265,8 @@ def _row_means(bin_texts, mean_texts, start, where) -> np.ndarray:
 
 
 def _read_dataset_csv(path: Path, cfg: RunConfig):
-    """Rebuild datasets (target, null, reference, qpt) from dataset.csv.
+    """Rebuild ``(Experiment, qpt)`` from dataset.csv, with the noise and
+    SPAM models of the configuration.
 
     The file is streamed: each row's ``role,j,n,tuple_id`` prefix is parsed
     once and its bins are converted with one numpy call.  A wrong header or
@@ -319,14 +321,14 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
                 row_ids.append(tuple_id)
             rows.append(means)
 
-    def build_decay(role, j_text, basis_index) -> DecayDataset:
+    def build_decay(j, label) -> DecayDataset:
         groups = {
             n: LengthGroup(tuple(row_ids), np.array(rows))
-            for n, (row_ids, rows) in decays[(role, j_text)].items()
+            for n, (row_ids, rows) in decays[(label, _j_text(j))].items()
         }
         return DecayDataset(
-            basis_index=basis_index,
-            label=role,
+            basis_index=j or REFERENCE_OVERLAP,
+            label=label,
             shots=cfg.raw["shots"],
             bin_size=cfg.raw["bin_size"],
             seed=cfg.seed,
@@ -334,12 +336,15 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
         )
 
     name, unitary = resolve_target(cfg.target_spec())
-    _check_design(decays, qpt_rows, cfg, name, unitary is not None, path.name)
-    datasets = {j: build_decay(f"{name}/overlap-{j}", str(j), j) for j in OVERLAPS}
-    null_datasets = None
-    if unitary is not None:
-        null_datasets = {j: build_decay(f"null/overlap-{j}", str(j), j) for j in OVERLAPS}
-    reference = build_decay("reference", "", None)
+    layout = dataset_layout(name, unitary is not None)
+    _check_design(decays, qpt_rows, cfg, layout, path.name)
+    exp = Experiment(
+        target_name=name,
+        target_unitary=unitary,
+        decays={(role, j): build_decay(j, label) for role, j, label in layout},
+        noise=cfg.noise_model(),
+        spam=cfg.spam_model(),
+    )
     qpt = None
     if qpt_rows:
         qpt = QptDataset(
@@ -349,22 +354,18 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             seed=cfg.seed,
             label="qpt",
         )
-    return datasets, null_datasets, reference, qpt
+    return exp, qpt
 
 
-def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, name, has_null, where):
-    """Require the datasets the configuration implies: overlaps 1-10 of the
-    target, of the null operation exactly when the target has null data, and
-    the reference, each with ``12**n * repeats`` rows at every configured
-    length ``n`` and ``12 * repeats`` at ``inf``; and the 12 tomography rows
-    exactly when QPT is on for a target with null data."""
+def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, layout: list, where):
+    """Require the datasets of the configuration's layout (see
+    :func:`dataset_layout`), each with ``12**n * repeats`` rows at every
+    configured length ``n`` and ``12 * repeats`` at ``inf``; and the 12
+    tomography rows exactly when QPT is on for a target with null data."""
     repeats = cfg.repeats()
     rows_at = {n: 12**n * repeats.get(n, 1) for n in cfg.lengths()}
     rows_at[INFINITE] = 12 * repeats.get(INFINITE, 1)
-    expected = [(f"{name}/overlap-{j}", str(j)) for j in OVERLAPS]
-    if has_null:
-        expected += [(f"null/overlap-{j}", str(j)) for j in OVERLAPS]
-    expected.append(("reference", ""))
+    expected = [(label, _j_text(j)) for _role, j, label in layout]
     for role, j_text in expected:
         if (role, j_text) not in decays:
             raise ConfigError(f"no rows for dataset {role}", path=where)
@@ -388,6 +389,7 @@ def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, name, has_null, 
     if unexpected:
         role, j_text = min(unexpected)
         raise ConfigError(f"unexpected dataset {role} with j {j_text!r}", path=where)
+    has_null = any(role == "null" for role, _j, _label in layout)
     want_qpt = 12 if cfg.raw["qpt"]["enabled"] and has_null else 0
     if len(qpt_rows) != want_qpt:
         raise ConfigError(f"expected {want_qpt} qpt rows, got {len(qpt_rows)}", path=where)
@@ -426,16 +428,16 @@ def _witness_payload(report: WitnessReport) -> dict:
 # Stage computations
 
 
-def _compute_fits(cfg, datasets, null_datasets, reference) -> ExperimentBootstrap:
+def _compute_fits(cfg, exp: Experiment) -> ExperimentBootstrap:
     """Point fits and the main bootstrap; a point fit that did not converge
     raises NumericalError."""
     boot = experiment_bootstrap(
-        datasets,
-        reference,
+        exp.datasets,
+        exp.reference,
         replications=cfg.raw["bootstrap"]["replications"],
         seed=cfg.seed,
         samples_per_config=cfg.raw["bootstrap"]["samples_per_config"],
-        null_datasets=null_datasets,
+        null_datasets=exp.null_datasets,
     )
     bad = [f for f in boot.fits + (boot.null_fits or []) if not f.converged]
     if bad:
@@ -467,7 +469,7 @@ def _bootstrap_schema(cfg: RunConfig) -> dict:
     """``bootstrap.npz`` arrays as ``name -> (dtype, shape)``: the two stamps,
     then the point fits and refit samples of the target and, when the target
     has null data, of the null operation."""
-    samples = (np.dtype(np.float64), (cfg.raw["bootstrap"]["replications"], len(OVERLAPS)))
+    samples = (np.dtype(np.float64), (cfg.raw["bootstrap"]["replications"], N_OVERLAPS))
     _, unitary = resolve_target(cfg.target_spec())
     schema = {
         "config_hash": (np.dtype("<U16"), ()),
@@ -476,9 +478,9 @@ def _bootstrap_schema(cfg: RunConfig) -> dict:
     }
     for prefix in ("", "null_") if unitary is not None else ("",):
         for field, dtype in FIT_FIELDS.items():
-            schema[f"{prefix}fit_{field}"] = (np.dtype(dtype), (len(OVERLAPS),))
+            schema[f"{prefix}fit_{field}"] = (np.dtype(dtype), (N_OVERLAPS,))
         schema[f"{prefix}rates"] = samples
-        schema[f"{prefix}nonconverged"] = (np.dtype(np.int64), (len(OVERLAPS),))
+        schema[f"{prefix}nonconverged"] = (np.dtype(np.int64), (N_OVERLAPS,))
     return schema
 
 
@@ -507,8 +509,8 @@ def _write_bootstrap_npz(path: Path, cfg, boot: ExperimentBootstrap, dataset_sha
 
 
 def _read_bootstrap_npz(path: Path, cfg, dataset_path: Path) -> ExperimentBootstrap:
-    """Reload ``fit``'s bootstrap and derive the reconstruction stacks the
-    way :func:`experiment_bootstrap` does.  A missing or unreadable file, a
+    """Reload ``fit``'s bootstrap; :class:`ExperimentBootstrap` derives the
+    reconstruction stacks as in the fused run.  A missing or unreadable file, a
     stamp that does not match the configuration or ``dataset.csv``, and a
     missing, extra or misshapen array raise a ConfigError naming it."""
     if not path.is_file():
@@ -549,14 +551,14 @@ def _read_bootstrap_npz(path: Path, cfg, dataset_path: Path) -> ExperimentBootst
         columns = [arrays[f"{prefix}fit_{field}"].tolist() for field in FIT_FIELDS]
         return [FitResult(**dict(zip(FIT_FIELDS, values))) for values in zip(*columns)]
 
-    return ExperimentBootstrap.from_rates(
-        fits(""),
-        fits("null_"),
-        arrays["rates"],
-        arrays.get("null_rates"),
-        arrays["ref_rates"],
-        arrays["nonconverged"],
-        arrays.get("null_nonconverged"),
+    return ExperimentBootstrap(
+        fits=fits(""),
+        null_fits=fits("null_"),
+        rates=arrays["rates"],
+        null_rates=arrays.get("null_rates"),
+        ref_rates=arrays["ref_rates"],
+        nonconverged=arrays["nonconverged"],
+        null_nonconverged=arrays.get("null_nonconverged"),
     )
 
 
@@ -609,14 +611,14 @@ def _decay_curve_rows(labeled_fits, reference: DecayDataset):
         yield "reference", "", _format_length(n), repr(float(ref_means[n])), repr(float(model))
 
 
-def _labeled_fits(cfg, datasets, null_datasets, boot: ExperimentBootstrap):
-    name, _ = resolve_target(cfg.target_spec())
-    out = [(name, j, datasets[j], boot.fits[j - 1]) for j in sorted(datasets)]
-    if null_datasets:
-        out.extend(
-            ("null", j, null_datasets[j], boot.null_fits[j - 1]) for j in sorted(null_datasets)
-        )
-    return out
+def _labeled_fits(exp: Experiment, boot: ExperimentBootstrap):
+    """(name, j, dataset, point fit) of every overlap dataset, in layout order."""
+    fits = {"target": boot.fits, "null": boot.null_fits}
+    return [
+        (exp.target_name if role == "target" else role, j, ds, fits[role][j - 1])
+        for (role, j), ds in exp.decays.items()
+        if j is not None
+    ]
 
 
 def _negativity_rows(witness_payload: dict, target_name: str):
@@ -669,13 +671,13 @@ def _simulate_stage(cfg, out: Path, written: list):
     return exp, qpt
 
 
-def _fit_stage(cfg, out: Path, written: list, datasets, null_datasets, reference):
-    boot = _compute_fits(cfg, datasets, null_datasets, reference)
+def _fit_stage(cfg, out: Path, written: list, exp: Experiment):
+    boot = _compute_fits(cfg, exp)
     _write_json(_artifact(out, "fits.json", written), _fits_json(cfg, boot))
     _write_csv(
         _artifact(out, "decay_curves.csv", written),
         ("role", "j", "n", "measured", "model"),
-        _decay_curve_rows(_labeled_fits(cfg, datasets, null_datasets, boot), reference),
+        _decay_curve_rows(_labeled_fits(exp, boot), exp.reference),
     )
     return boot
 
@@ -696,16 +698,17 @@ def _reconstruct_stage(cfg, out: Path, written: list, boot: ExperimentBootstrap)
     return rec
 
 
-def _witness_stage(cfg, out: Path, written: list, datasets, null_datasets, reference, qpt):
+def _witness_stage(cfg, out: Path, written: list, exp: Experiment, qpt):
     replications = cfg.raw["bootstrap"]["replications"]
     payload = {"config_hash": cfg.config_hash(), "rbt": {}, "qpt": None}
+    null_datasets = exp.null_datasets
     variants = [v for v in cfg.raw["witness"]["variants"] if v == "raw" or null_datasets]
     if variants:
         # Null halves are split, fit and resampled only for corrected variants.
         needs_null = any(v != "raw" for v in variants)
         halves = split_half_bootstrap(
-            datasets,
-            reference,
+            exp.datasets,
+            exp.reference,
             replications=replications,
             seed=cfg.seed,
             null_datasets=null_datasets if needs_null else None,
@@ -722,11 +725,10 @@ def _witness_stage(cfg, out: Path, written: list, datasets, null_datasets, refer
         )
         payload["qpt"] = _witness_payload(report)
     _write_json(_artifact(out, "witness.json", written), payload)
-    name, _ = resolve_target(cfg.target_spec())
     _write_csv(
         _artifact(out, "negativity.csv", written),
         ("method", "gate", "expectation", "ci_low", "ci_high"),
-        _negativity_rows(payload, name),
+        _negativity_rows(payload, exp.target_name),
     )
 
 
@@ -744,8 +746,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
 
 def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     dataset_path = stage_in / "dataset.csv"
-    datasets, null_datasets, reference, _ = _read_dataset_csv(dataset_path, cfg)
-    boot = _fit_stage(cfg, out, written, datasets, null_datasets, reference)
+    exp, _ = _read_dataset_csv(dataset_path, cfg)
+    boot = _fit_stage(cfg, out, written, exp)
     npz = _artifact(out, "bootstrap.npz", written)
     _write_bootstrap_npz(npz, cfg, boot, _sha256(dataset_path))
 
@@ -758,18 +760,17 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) ->
 def cmd_witness(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     if not cfg.raw["witness"]["enabled"]:
         return
-    data = _read_dataset_csv(stage_in / "dataset.csv", cfg)
-    _witness_stage(cfg, out, written, *data)
+    exp, qpt = _read_dataset_csv(stage_in / "dataset.csv", cfg)
+    _witness_stage(cfg, out, written, exp, qpt)
 
 
 def cmd_pipeline(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     cmd_gen_sequences(cfg, out, stage_in, written)
     exp, qpt = _simulate_stage(cfg, out, written)
-    data = (exp.datasets, exp.null_datasets, exp.reference)
-    boot = _fit_stage(cfg, out, written, *data)
+    boot = _fit_stage(cfg, out, written, exp)
     rec = _reconstruct_stage(cfg, out, written, boot)
     if cfg.raw["witness"]["enabled"]:
-        _witness_stage(cfg, out, written, *data, qpt)
+        _witness_stage(cfg, out, written, exp, qpt)
     qpt_superop = None
     if qpt is not None:
         qpt_superop = qpt_point_estimate(qpt, cfg.raw["qpt"]["assumed_assignment_fidelity"])
@@ -883,6 +884,9 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         _cleanup(written)
         return 4
+    except BaseException:
+        _cleanup(written)
+        raise
     for path in written:
         print(path)
     return 0

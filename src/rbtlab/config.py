@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
+import numpy as np
 
 from .channels import (
     DEVICE_ASSIGNMENT_FIDELITY,
@@ -105,6 +106,14 @@ class RunConfig:
             raise ConfigError("shots must be divisible by bin_size", path="$.shots")
         if merged["noise"]["t2"] > 2 * merged["noise"]["t1"]:
             raise ConfigError("t2 must not exceed 2*t1", path="$.noise.t2")
+        axis = merged["target"].get("axis")
+        if axis is not None:
+            # resolve_target divides the axis by this norm, which overflows
+            # to inf for huge entries and underflows to 0 for tiny ones.
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(np.asarray(axis, dtype=float))
+            if not 0.0 < norm < np.inf:
+                raise ConfigError("axis must have a finite, non-zero length", path="$.target.axis")
         return cls(raw=merged)
 
     @classmethod

@@ -12,7 +12,7 @@ reconstruction, so replication loops never leave numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .witness import (
 )
 
 __all__ = [
+    "dataset_layout",
     "Experiment",
     "resolve_target",
     "simulate_experiment",
@@ -69,6 +70,7 @@ __all__ = [
 ]
 
 N_OVERLAPS = 10
+REFERENCE_OVERLAP = 1  # the reference decay is sampled from this overlap's sequences
 
 TARGET_UNITARIES = {
     "hadamard": lambda: rotation_unitary((1.0, 0.0, 1.0), np.pi),
@@ -101,17 +103,50 @@ def resolve_target(spec) -> tuple:
     raise ValueError(f"cannot interpret target spec {spec!r}")
 
 
+def dataset_layout(name: str, has_null: bool) -> list:
+    """``(role, j, label)`` of every decay dataset of an experiment, in the
+    order of ``sequences.json`` and ``dataset.csv``: the target's overlaps
+    1-10, then, when the target has null data, the null operation's overlaps
+    1-10, then the reference (``j`` None), sampled from the
+    ``REFERENCE_OVERLAP`` sequences."""
+    roles = [("target", name)] + ([("null", "null")] if has_null else [])
+    layout = [
+        (role, j, f"{prefix}/overlap-{j}")
+        for role, prefix in roles
+        for j in range(1, N_OVERLAPS + 1)
+    ]
+    layout.append(("reference", None, "reference"))
+    return layout
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """All simulated data needed to reconstruct and correct one target."""
+    """All simulated data needed to reconstruct and correct one target.
+
+    ``decays`` maps each ``(role, j)`` of :func:`dataset_layout` to its
+    dataset, in layout order.
+    """
 
     target_name: str
     target_unitary: np.ndarray | None
-    datasets: dict
-    null_datasets: dict | None
-    reference: DecayDataset
+    decays: dict
     noise: NoiseModel
     spam: SpamModel
+
+    def _overlaps(self, role: str) -> dict:
+        return {j: ds for (r, j), ds in self.decays.items() if r == role}
+
+    @property
+    def datasets(self) -> dict:
+        return self._overlaps("target")
+
+    @property
+    def null_datasets(self) -> dict | None:
+        return self._overlaps("null") or None
+
+    @property
+    def reference(self) -> DecayDataset:
+        return self.decays[("reference", None)]
 
     def applied_target_channel(self) -> np.ndarray:
         """The channel actually played in each target slot (noise included)."""
@@ -124,38 +159,6 @@ class Experiment:
         if self.target_unitary is None:
             return avg_fidelity(self.noise.per_gate_channel, np.eye(2))
         return avg_fidelity(self.applied_target_channel(), self.target_unitary)
-
-
-def _simulate_overlap_datasets(
-    target_unitary,
-    noise: NoiseModel,
-    spam: SpamModel,
-    shots: int,
-    bin_size: int,
-    seed: int,
-    label: str,
-    lengths,
-    repeats,
-) -> dict:
-    if target_unitary is None:
-        target, noisy_target = np.eye(4), False
-    else:
-        target, noisy_target = superop_from_unitary(target_unitary), True
-    datasets = {}
-    for j in range(1, N_OVERLAPS + 1):
-        seqs = exhaustive_set(j, lengths=lengths, repeats=repeats)
-        datasets[j] = sample_dataset(
-            seqs,
-            target,
-            noise,
-            spam,
-            shots=shots,
-            bin_size=bin_size,
-            seed=seed,
-            label=f"{label}/overlap-{j}",
-            noisy_target=noisy_target,
-        )
-    return datasets
 
 
 def simulate_experiment(
@@ -173,37 +176,28 @@ def simulate_experiment(
     The reference decay is its own independently sampled benchmarking run of
     the null operation; when the target is not the null operation, a second
     ten-overlap bundle of the null operation is simulated for corrections.
+    Only the target's overlaps play the target, with gate noise; the null
+    operation is played as nothing.
     """
     repeats = dict(PAPER_REPEATS) if repeats is None else repeats
     name, unitary = resolve_target(target_spec)
-    datasets = _simulate_overlap_datasets(
-        unitary, noise, spam, shots, bin_size, seed, f"{name}", lengths, repeats
-    )
-    null_datasets = None
-    if unitary is not None:
-        null_datasets = _simulate_overlap_datasets(
-            None, noise, spam, shots, bin_size, seed, "null", lengths, repeats
+    ideal = None if unitary is None else superop_from_unitary(unitary)
+    decays = {}
+    for role, j, label in dataset_layout(name, unitary is not None):
+        noisy = role == "target" and ideal is not None
+        decays[(role, j)] = sample_dataset(
+            exhaustive_set(j or REFERENCE_OVERLAP, lengths=lengths, repeats=repeats),
+            ideal if noisy else np.eye(4),
+            noise,
+            spam,
+            shots=shots,
+            bin_size=bin_size,
+            seed=seed,
+            label=label,
+            noisy_target=noisy,
         )
-    ref_seqs = exhaustive_set(1, lengths=lengths, repeats=repeats)
-    reference = sample_dataset(
-        ref_seqs,
-        np.eye(4),
-        noise,
-        spam,
-        shots=shots,
-        bin_size=bin_size,
-        seed=seed,
-        label="reference",
-        noisy_target=False,
-    )
     return Experiment(
-        target_name=name,
-        target_unitary=unitary,
-        datasets=datasets,
-        null_datasets=null_datasets,
-        reference=reference,
-        noise=noise,
-        spam=spam,
+        target_name=name, target_unitary=unitary, decays=decays, noise=noise, spam=spam
     )
 
 
@@ -238,59 +232,36 @@ def point_reconstructions(fits: list, null_fits: list | None = None) -> dict:
 class ExperimentBootstrap:
     """Per-replication samples of everything downstream of the fits.
 
-    ``rates``/``null_rates`` have shape (replications, 10); reconstruction
-    stacks have shape (replications, 4, 4).  ``nonconverged`` and
-    ``null_nonconverged`` count, per overlap, the replications whose refit
-    did not converge; those replications stay in every sample array.
+    ``rates``/``null_rates`` have shape (replications, 10).  ``nonconverged``
+    and ``null_nonconverged`` count, per overlap, the replications whose
+    refit did not converge; those replications stay in every sample array.
+    The reconstruction stacks, of shape (replications, 4, 4), are derived
+    from the rates: the unital samples and, given null-operation rates, the
+    left/right corrected samples.  The fused pipeline and a staged
+    ``reconstruct`` that reloads ``fit``'s bootstrap both derive them here.
     """
 
     fits: list
     null_fits: list | None
     rates: np.ndarray
     null_rates: np.ndarray | None
-    unital: np.ndarray
-    null_unital: np.ndarray | None
-    corrected_left: np.ndarray | None
-    corrected_right: np.ndarray | None
     ref_rates: np.ndarray
     nonconverged: np.ndarray
     null_nonconverged: np.ndarray | None
+    unital: np.ndarray = field(init=False)
+    corrected_left: np.ndarray | None = field(init=False)
+    corrected_right: np.ndarray | None = field(init=False)
 
-    @classmethod
-    def from_rates(
-        cls,
-        fits: list,
-        null_fits: list | None,
-        rates: np.ndarray,
-        null_rates: np.ndarray | None,
-        ref_rates: np.ndarray,
-        nonconverged: np.ndarray,
-        null_nonconverged: np.ndarray | None,
-    ) -> "ExperimentBootstrap":
-        """Derive the reconstruction stacks from the refit rates: the unital
-        samples and, given null-operation rates, the null and left/right
-        corrected samples.  The fused pipeline and a staged ``reconstruct``
-        that reloads ``fit``'s bootstrap both go through here."""
-        unital = reconstruct_unital_batch(decay_to_overlap(rates))
-        null_unital = left = right = None
-        if null_rates is not None:
-            null_unital = reconstruct_unital_batch(decay_to_overlap(null_rates))
-            inv = np.linalg.inv(null_unital)
+    def __post_init__(self):
+        unital = reconstruct_unital_batch(decay_to_overlap(self.rates))
+        left = right = None
+        if self.null_rates is not None:
+            inv = np.linalg.inv(reconstruct_unital_batch(decay_to_overlap(self.null_rates)))
             left = np.einsum("bij,bjk->bik", inv, unital)
             right = np.einsum("bij,bjk->bik", unital, inv)
-        return cls(
-            fits=fits,
-            null_fits=null_fits,
-            rates=rates,
-            null_rates=null_rates,
-            unital=unital,
-            null_unital=null_unital,
-            corrected_left=left,
-            corrected_right=right,
-            ref_rates=ref_rates,
-            nonconverged=nonconverged,
-            null_nonconverged=null_nonconverged,
-        )
+        object.__setattr__(self, "unital", unital)
+        object.__setattr__(self, "corrected_left", left)
+        object.__setattr__(self, "corrected_right", right)
 
     @property
     def replications(self) -> int:
@@ -360,7 +331,7 @@ def experiment_bootstrap(
         null_rates, _, null_nonconverged = _bootstrap_rates_for(
             null_datasets, ref_resamples, null_fits, replications, seed, samples_per_config
         )
-    return ExperimentBootstrap.from_rates(
+    return ExperimentBootstrap(
         fits, null_fits, rates, null_rates, ref_rates, nonconverged, null_nonconverged
     )
 
@@ -451,19 +422,12 @@ def split_half_bootstrap(
     """
     first, second = _halve(datasets)
     ref1, ref2 = split_halves(reference)
-    null_first = null_second = null_fits1 = null_fits2 = None
+    null_second = null_fits1 = None
     if null_datasets is not None:
         null_first, null_second = _halve(null_datasets)
         null_fits1 = fit_overlaps(null_first, ref1)
-        null_fits2 = fit_overlaps(null_second, ref2)
     boot = experiment_bootstrap(
-        second,
-        ref2,
-        replications=replications,
-        seed=seed,
-        null_datasets=null_second,
-        fits=fit_overlaps(second, ref2),
-        null_fits=null_fits2,
+        second, ref2, replications=replications, seed=seed, null_datasets=null_second
     )
     some_group = next(iter(next(iter(second.values())).groups.values()))
     return SplitHalves(

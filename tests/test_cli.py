@@ -144,6 +144,19 @@ class TestConfig:
         b = RunConfig.from_dict({"shots": 400, "seed": 3})
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize(
+        "axis", [[0, 0, 0], [1e308, 1e308, 0]], ids=["zero", "overflowing"]
+    )
+    def test_axis_without_finite_length_rejected(self, tmp_path, capsys, axis):
+        # Normalizing such an axis gave a NaN unitary, and the run died in
+        # the binomial draws with exit 1 after writing sequences.json.
+        config = tmp_path / "axis.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, target={"axis": axis, "angle": 1.0})))
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", config, "--out", out) == 2
+        assert "$.target.axis: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_axis_angle_target_runs(self, tmp_path):
         # A given target replaces the default {"name": "hadamard"} whole;
         # merged into it, an axis/angle target failed the schema's oneOf.
@@ -229,26 +242,19 @@ class TestPipeline:
 
 
 class TestStages:
-    def test_staged_equals_fused(self, tiny_config, tmp_path):
-        fused = tmp_path / "fused"
-        run_cli("pipeline", "--config", tiny_config, "--out", fused)
-        staged = tmp_path / "staged"
-        assert run_cli("gen-sequences", "--config", tiny_config, "--out", staged) == 0
-        assert run_cli("simulate", "--config", tiny_config, "--out", staged) == 0
-        assert run_cli("fit", "--config", tiny_config, "--out", staged) == 0
-        assert run_cli("reconstruct", "--config", tiny_config, "--out", staged) == 0
-        assert run_cli("witness", "--config", tiny_config, "--out", staged) == 0
-        for name in (
-            "sequences.json",
-            "dataset.csv",
-            "fits.json",
-            "decay_curves.csv",
-            "reconstruction.json",
-            "hinton.csv",
-            "witness.json",
-            "negativity.csv",
-        ):
-            assert (fused / name).read_bytes() == (staged / name).read_bytes(), name
+    # A target with null data, one without, and one whose name is computed.
+    TARGETS = [{"name": "hadamard"}, {"name": "identity"}, {"axis": [1, 2, 3], "angle": 1.1}]
+
+    def test_staged_equals_fused(self, tmp_path):
+        for k, target in enumerate(self.TARGETS):
+            config = tmp_path / f"config-{k}.json"
+            config.write_text(json.dumps(dict(TINY_CONFIG, target=target)))
+            fused, staged = tmp_path / f"fused-{k}", tmp_path / f"staged-{k}"
+            assert run_cli("pipeline", "--config", config, "--out", fused) == 0
+            for command in ("gen-sequences", "simulate", "fit", "reconstruct", "witness"):
+                assert run_cli(command, "--config", config, "--out", staged) == 0
+            for name in set(PIPELINE_FILES) - {"summary.json"}:
+                assert (fused / name).read_bytes() == (staged / name).read_bytes(), (target, name)
 
     def test_witness_disabled_writes_nothing(self, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
@@ -341,6 +347,17 @@ class TestStages:
         monkeypatch.setattr(cli, "_compute_fits", fail)
         out = tmp_path / "out"
         assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 3
+        assert list(out.iterdir()) == []
+
+    def test_unexpected_error_leaves_no_artifacts(self, tiny_config, tmp_path, monkeypatch):
+        # Any other exception still propagates, after the cleanup.
+        def fail(*args, **kwargs):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(cli, "_compute_fits", fail)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="forced"):
+            run_cli("pipeline", "--config", tiny_config, "--out", out)
         assert list(out.iterdir()) == []
 
 
@@ -605,13 +622,15 @@ class TestDatasetCsv:
         path = tmp_path / "dataset.csv"
         cli._write_dataset_csv(path, exp, qpt)
         path.write_bytes(path.read_bytes().replace(b"\r\n", line_end))
-        datasets, null_datasets, reference, qpt_read = cli._read_dataset_csv(
-            path, RunConfig.from_dict(TINY_CONFIG)
-        )
-        pairs = [(exp.reference, reference)]
-        pairs += [(exp.datasets[j], datasets[j]) for j in exp.datasets]
-        pairs += [(exp.null_datasets[j], null_datasets[j]) for j in exp.null_datasets]
-        assert len(datasets) == len(null_datasets) == 10
+        exp_read, qpt_read = cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
+        pairs = [(exp.reference, exp_read.reference)]
+        pairs += [(exp.datasets[j], exp_read.datasets[j]) for j in exp.datasets]
+        pairs += [(exp.null_datasets[j], exp_read.null_datasets[j]) for j in exp.null_datasets]
+        assert len(exp_read.datasets) == len(exp_read.null_datasets) == 10
+        assert list(exp_read.decays) == list(exp.decays)
+        for key, written in exp.decays.items():
+            read = exp_read.decays[key]
+            assert (read.label, read.basis_index) == (written.label, written.basis_index), key
         for written, read in pairs:
             assert written.label == read.label
             assert written.groups.keys() == read.groups.keys()
@@ -683,9 +702,10 @@ class TestPulseScan:
 class TestBytePin:
     """The bytes of the tiny config's artifacts: the nine fused ``pipeline``
     files, the ``bootstrap.npz`` of a staged ``fit`` on them and a small
-    ``pulse-scan``.  The hashes were recorded with numpy 2.4.6 on x86-64
-    Linux; a change that alters artifact bytes on purpose updates them and
-    names the changed artifacts."""
+    ``pulse-scan``; and the same fused files and ``bootstrap.npz`` for the
+    identity target, which has no null data.  The hashes were recorded with
+    numpy 2.4.6 on x86-64 Linux; a change that alters artifact bytes on
+    purpose updates them and names the changed artifacts."""
 
     SHA256 = {
         "sequences.json": "a43a8dd86421f3a6665e5c3120b71651e648b0574051539bdc6db4099cfe2625",
@@ -701,14 +721,39 @@ class TestBytePin:
         "pulse_scan.csv": "3ede7275631c80b721db8873b715ee66d507ed73ba7c0f32104dab193e8bce10",
     }
 
-    def test_artifact_hashes(self, tiny_config, tmp_path):
+    IDENTITY_SHA256 = {
+        "sequences.json": "7f83970f17ac0d1f51ea52e1b22c08c85e3d5fe7f86b7bb9c58d97634f788f89",
+        "dataset.csv": "1613613589b2f06199f0ef870899cf442313e47c28fc2130dc80f3690d862930",
+        "fits.json": "620603d406ab956c6297f0bb43b5fb4748635aca71ffb7ec7df30e9fdf1e5ce7",
+        "decay_curves.csv": "e7e13db60a3e524715da0738543507e518ce0aa6879e7fe6c1150b160666c1c2",
+        "reconstruction.json": "67152a64444eab50c0f79d03d343ab8e2677381916f6f27dc2c54957147a13d2",
+        "hinton.csv": "6bd99f27c0c1b7afe766a2be596c4ce6737bc34baed5922ae100b0be2569997c",
+        "witness.json": "1cec3a2d07d7b2031e47db6316fd1f45a693c445415232547275f09faa5a7c92",
+        "negativity.csv": "de8148d98fa1f953622c348f06cd2561dc0b0ecdda0cddc6f7f2d62620e34e7c",
+        "summary.json": "b8e0267115ba9b3c2fca5983643c3cb944c4cce2f963295a5a27513999e30cfc",
+        "bootstrap.npz": "71bcdaf24e0c88ed44dad46f16495ab13b879c9e1266646cf9c94b6afb28d00f",
+    }
+
+    @staticmethod
+    def fused_and_fit_hashes(config, tmp_path) -> dict:
         fused, staged = tmp_path / "fused", tmp_path / "staged"
-        assert run_cli("pipeline", "--config", tiny_config, "--out", fused) == 0
-        assert run_cli("fit", "--config", tiny_config, "--out", staged, "--stage-input", fused) == 0
+        assert run_cli("pipeline", "--config", config, "--out", fused) == 0
+        assert run_cli("fit", "--config", config, "--out", staged, "--stage-input", fused) == 0
+        paths = [fused / name for name in PIPELINE_FILES] + [staged / "bootstrap.npz"]
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+    def test_artifact_hashes(self, tiny_config, tmp_path):
+        got = self.fused_and_fit_hashes(tiny_config, tmp_path)
         scan = tmp_path / "scan.json"
         scan.write_text(json.dumps(dict(TINY_CONFIG, pulse_scan={"sample_counts": [8, 16]})))
-        assert run_cli("pulse-scan", "--config", scan, "--out", staged) == 0
-        paths = [fused / name for name in PIPELINE_FILES]
-        paths += [staged / "bootstrap.npz", staged / "pulse_scan.csv"]
-        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+        assert run_cli("pulse-scan", "--config", scan, "--out", tmp_path / "staged") == 0
+        got["pulse_scan.csv"] = hashlib.sha256(
+            (tmp_path / "staged" / "pulse_scan.csv").read_bytes()
+        ).hexdigest()
         assert got == self.SHA256, f"numpy {np.__version__}"
+
+    def test_identity_artifact_hashes(self, tmp_path):
+        config = tmp_path / "identity.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, target={"name": "identity"})))
+        got = self.fused_and_fit_hashes(config, tmp_path)
+        assert got == self.IDENTITY_SHA256, f"numpy {np.__version__}"

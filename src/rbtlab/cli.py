@@ -10,8 +10,15 @@ rebuild the ``Experiment`` from ``dataset.csv``, and ``reconstruct`` reads the
 ``bootstrap.npz`` that ``fit`` wrote instead of refitting.  ``pipeline``
 calls the same stage functions in order and hands the simulated
 ``Experiment`` and the bootstrap over in memory.
+
+``dataset.csv`` is read in byte blocks cut after whole rows.  A block spelled
+as the writer spells it is checked and converted with numpy over its raw
+bytes; from the first block that is not, the rest of the file is read line by
+line, which accepts other valid spellings and names the faulty line.  The
+same pass hashes the bytes, and ``fit`` stamps ``bootstrap.npz`` with that
+digest.
 Exit codes: 0 success, 2 configuration or artifact schema error, 3 numerical
-failure, 4 I/O error.
+failure (including an ill-conditioned null-operation estimate), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
 import zipfile
 import zlib
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +59,12 @@ from .pipeline import (
     summary_table,
 )
 # perfbench/tracer.py wraps cli.reconstruct_unital, so the name stays here.
-from .reconstruction import Reconstruction, hinton_records, reconstruct_unital  # noqa: F401
+from .reconstruction import (  # noqa: F401
+    ChannelInversionError,
+    Reconstruction,
+    hinton_records,
+    reconstruct_unital,
+)
 from .sampling import DecayDataset, LengthGroup, QptDataset, sample_qpt_dataset
 from .sequences import INFINITE, exhaustive_set
 from .witness import WitnessReport
@@ -205,23 +218,38 @@ def _write_dataset_csv(path: Path, exp: Experiment, qpt: QptDataset | None) -> N
             _write_bin_lines(f, prefixes, qpt.bins)
 
 
-def _line_runs(f, where):
-    """Split the data lines of ``dataset.csv`` into runs of consecutive lines
-    that share the text before their last two fields.
+# dataset.csv is parsed in blocks of about _BLOCK_BYTES, each cut after its
+# last whole row.  A block whose every line is "prefix,bin_id,mean" as the
+# writer spells it is checked and converted with numpy (_block_rows); from the
+# first block that is not, the rest of the file is read line by line.
+_BLOCK_BYTES = 1 << 18
+_HEADER_LINES = {",".join(DATASET_HEADER).encode() + end for end in (b"\r\n", b"\n")}
+_LINE_DELIMITERS = np.frombuffer(b",,,,,\n", np.uint8)
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MEAN_CHARS = b"0123456789.eE+-"
+_MEAN_WIDTH = 23  # the longest repr of a float in [0, 1]
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+_PAD = bytes(32)  # room to read every 8-byte word of the last line in place
 
-    Yields ``(first line number, prefix, bin texts, mean texts)``.  A line
+
+def _line_runs(lines, first: int, where):
+    """Split data lines, the first of them line ``first``, into runs of
+    consecutive lines that share the text before their last two fields.
+
+    Yields ``(first line number, prefix, (bin texts, mean texts))``.  A line
     with fewer than three comma-separated parts raises after the run before
     it has been yielded, so errors surface in line order.
     """
     prefix, start, bin_texts, mean_texts = None, 0, [], []
-    for lineno, line in enumerate(f, start=2):
+    for lineno, line in enumerate(lines, start=first):
         parts = line.rsplit(",", 2)
         if len(parts) == 3 and parts[0] == prefix:
             bin_texts.append(parts[1])
             mean_texts.append(parts[2])
             continue
         if prefix is not None:
-            yield start, prefix, bin_texts, mean_texts
+            yield start, prefix, (bin_texts, mean_texts)
         if len(parts) != 3:
             fields = next(csv.reader([line]), [])
             raise ConfigError(
@@ -230,12 +258,20 @@ def _line_runs(f, where):
             )
         prefix, start, bin_texts, mean_texts = parts[0], lineno, [parts[1]], [parts[2]]
     if prefix is not None:
-        yield start, prefix, bin_texts, mean_texts
+        yield start, prefix, (bin_texts, mean_texts)
 
 
 @lru_cache(maxsize=None)
 def _bin_id_texts(nb: int) -> tuple:
     return tuple(str(b) for b in range(nb))
+
+
+@lru_cache(maxsize=None)
+def _bin_id_codes(nb: int):
+    """Byte length and little-endian value of the text of each bin id."""
+    texts = [str(b).encode() for b in range(nb)]
+    lengths = np.array([len(t) for t in texts])
+    return lengths, np.array([int.from_bytes(t, "little") for t in texts], dtype=np.uint64)
 
 
 def _row_means(bin_texts, mean_texts, start, where) -> np.ndarray:
@@ -264,17 +300,181 @@ def _row_means(bin_texts, mean_texts, start, where) -> np.ndarray:
     return np.array(mean_texts, dtype=float)
 
 
-def _read_dataset_csv(path: Path, cfg: RunConfig):
-    """Rebuild ``(Experiment, qpt)`` from dataset.csv, with the noise and
-    SPAM models of the configuration.
+def _row_blocks(f, nb: int, digest):
+    """Yield ``(block, line count)`` for the rest of ``f``: blocks of about
+    _BLOCK_BYTES cut after a whole number of ``nb``-line rows, the partial row
+    carried into the next block, then whatever the file ends with, given a
+    line end if it lacks one.  Every byte read also goes to ``digest``."""
+    pending, lines = [], 0
+    for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
+        digest.update(chunk)
+        pending.append(chunk)
+        lines += chunk.count(b"\n")
+        if lines >= nb:
+            data = b"".join(pending)
+            cut = len(data)
+            for _ in range(lines % nb + 1):
+                cut = data.rfind(b"\n", 0, cut)
+            yield data[: cut + 1], lines - lines % nb
+            pending, lines = [data[cut + 1 :]], lines % nb
+    tail = b"".join(pending)
+    if tail and not tail.endswith(b"\n"):
+        tail, lines = tail + b"\n", lines + 1
+    if tail:
+        yield tail, lines
 
-    The file is streamed: each row's ``role,j,n,tuple_id`` prefix is parsed
-    once and its bins are converted with one numpy call.  A wrong header or
-    field count, an unparsable number, a mean outside [0, 1], bin ids other
-    than 0, 1, 2, ... in order, a bin count other than the configuration's
-    ``shots // bin_size``, or a repeated row raises a ConfigError naming the
-    line.  A design other than the configuration's (see
-    :func:`_check_design`) raises one naming the dataset and the length.
+
+def _block_rows(block: bytes, n_lines: int, nb: int, prev, floats: dict):
+    """``(prefixes, means)`` of the ``n_lines // nb`` rows of ``block``, or
+    None unless every check passes.
+
+    Each line must have exactly five commas and end in LF or CRLF.  Each row's
+    ``nb`` lines must share one ASCII prefix (the text before the fourth
+    comma) without CR, different from the row before (``prev`` for the first
+    row).  Bin ids must be spelled 0, 1, 2, ...  Every mean text must be at
+    most _MEAN_WIDTH of ``0-9.eE+-`` that ``np.array(texts, dtype=float)``
+    converts to a number in [0, 1]; ``floats`` caches that conversion per
+    distinct text.  Such a block reads exactly as it does line by line.
+    """
+    if n_lines % nb or nb > 10**8:  # _LOW_BYTES spells bin ids of up to 8 digits
+        return None
+    rows = n_lines // nb
+    buf = np.frombuffer(block + _PAD, np.uint8)
+    delims = np.flatnonzero((buf == 44) | (buf == 10))[: 6 * n_lines]
+    if len(delims) != 6 * n_lines:
+        return None
+    delims = delims.reshape(n_lines, 6)
+    if not (buf[delims] == _LINE_DELIMITERS).all():
+        return None
+    c2, c1, ends = delims[:, 3], delims[:, 4], delims[:, 5]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    mean_len = ends - (buf[ends - 1] == 13) - c1 - 1
+    bin_len = c1 - c2 - 1
+    prefix_len = (c2 - starts).reshape(rows, nb)
+    id_len, id_code = _bin_id_codes(nb)
+    width = int(mean_len.max())
+    if (
+        mean_len.min() < 1
+        or width > _MEAN_WIDTH
+        or not (prefix_len == prefix_len[:, :1]).all()
+        or not (bin_len.reshape(rows, nb) == id_len).all()
+    ):
+        return None
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    if not ((words[c2 + 1] & _LOW_BYTES[bin_len]).reshape(rows, nb) == id_code).all():
+        return None
+    # One key per mean text: its 8-byte words, the last also holding the
+    # length, mixed into one integer; a collision fails the block.
+    parts = [
+        words[c1 + 1 + 8 * i] & _LOW_BYTES[np.clip(mean_len - 8 * i, 0, 8)]
+        for i in range(width // 8 + 1)
+    ]
+    parts[-1] |= mean_len.astype(np.uint64) << np.uint64(56)
+    key = parts[0]
+    for part in parts[1:]:
+        key = key * _KEY_MIX + part
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(len(distinct), np.intp)  # one line per distinct key
+    first[inverse] = np.arange(n_lines)
+    if len(parts) > 1 and any((part[first][inverse] != part).any() for part in parts):
+        return None
+    texts = [
+        block[s : s + n] for s, n in zip((c1[first] + 1).tolist(), mean_len[first].tolist())
+    ]
+    new = [t for t in texts if t not in floats]
+    if new:
+        if any(t.translate(None, _MEAN_CHARS) for t in new):
+            return None
+        try:
+            values = np.array([t.decode() for t in new], dtype=float)
+        except ValueError:
+            return None
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            return None
+        floats.update(zip(new, values.tolist()))
+    means = np.array([floats[t] for t in texts])[inverse].reshape(rows, nb)
+    prefixes = []
+    for s, e, first_end, last_end in zip(
+        starts[::nb].tolist(), c2[::nb].tolist(), ends[::nb].tolist(), ends[nb - 1 :: nb].tolist()
+    ):
+        prefix = block[s:e]
+        text = prefix.decode() if prefix.isascii() and b"\r" not in prefix else None
+        if text is None or text == prev:
+            return None
+        # Every later line of the row starts with the prefix and a comma.
+        if block.count(b"\n" + prefix + b",", first_end, last_end) != nb - 1:
+            return None
+        prefixes.append(text)
+        prev = text
+    return prefixes, means
+
+
+def _text_rows(path: Path, first: int, where):
+    """The runs of :func:`_line_runs` from line ``first`` on, after the
+    header check."""
+    with path.open(newline="") as f:
+        header = next(csv.reader([f.readline()]), [])
+        if tuple(header) != DATASET_HEADER:
+            raise ConfigError(f"unexpected header {header}", path=where(1))
+        yield from _line_runs(itertools.islice(f, first - 2, None), first, where)
+
+
+def _dataset_rows(path: Path, nb: int, digest, where):
+    """Yield ``(first line number, prefix, means)`` for each run of lines of
+    dataset.csv that share the text before their last two fields, in file
+    order, and feed the file's bytes to ``digest``.
+
+    Blocks that pass :func:`_block_rows` give ``means`` as checked floats.
+    From the first block that does not, or a header other than the writer's,
+    the rest of the file is read line by line and ``means`` is the (bin texts,
+    mean texts) pair for :func:`_row_means`.  A block's last row is held back
+    until the next block shows that its run ends there, so the line-by-line
+    reading can start with it.
+    """
+    floats: dict = {}
+    held, lineno = None, 2
+    with path.open("rb") as f:
+        header = f.readline()
+        digest.update(header)
+        if header in _HEADER_LINES:
+            for block, n_lines in _row_blocks(f, nb, digest):
+                parsed = _block_rows(block, n_lines, nb, held[1] if held else None, floats)
+                if parsed is None:
+                    break
+                rows = [(lineno + r * nb, *row) for r, row in enumerate(zip(*parsed))]
+                if held:
+                    yield held
+                yield from rows[:-1]
+                held, lineno = rows[-1], lineno + n_lines
+            else:
+                if held:
+                    yield held
+                return
+        for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
+            digest.update(chunk)
+    yield from _text_rows(path, held[0] if held else lineno, where)
+
+
+def _stack_rows(rows: list, start: int) -> None:
+    """Replace the 1-D row means ``rows[start:]`` by one 2-D array, so that
+    the parsed blocks they view can be freed while the file is read."""
+    if rows[start:]:
+        rows[start:] = [np.array(rows[start:])]
+
+
+def _read_dataset_csv(path: Path, cfg: RunConfig):
+    """Rebuild ``(Experiment, qpt, sha256)`` from dataset.csv, with the noise
+    and SPAM models of the configuration; ``sha256`` is the hex digest of the
+    bytes read.
+
+    The file is read in blocks (see :func:`_dataset_rows`): each row's
+    ``role,j,n,tuple_id`` prefix is parsed once and its bin means come from
+    numpy.  A wrong header or field count, an unparsable number, a mean
+    outside [0, 1], bin ids other than 0, 1, 2, ... in order, a bin count
+    other than the configuration's ``shots // bin_size``, or a repeated row
+    raises a ConfigError naming the line.  A design other than the
+    configuration's (see :func:`_check_design`) raises one naming the dataset
+    and the length.
     """
 
     def where(lineno: int) -> str:
@@ -282,48 +482,51 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
 
     n_bins = cfg.raw["shots"] // cfg.raw["bin_size"]
 
-    decays: dict = {}  # (role, j text) -> {n: (row ids, per-row means)}
+    decays: dict = {}  # (role, j text) -> {n: (row ids, blocks of row means)}
     qpt_rows: list = []
     seen: set = set()
-    with path.open(newline="") as f:
-        header = next(csv.reader([f.readline()]), [])
-        if tuple(header) != DATASET_HEADER:
-            raise ConfigError(f"unexpected header {header}", path=where(1))
-        for start, prefix, bin_texts, mean_texts in _line_runs(f, where):
-            fields = next(csv.reader([prefix]), [])
-            if len(fields) != 4:
-                raise ConfigError(
-                    f"expected {len(DATASET_HEADER)} fields, got {len(fields) + 2}",
-                    path=where(start),
-                )
-            role, j_text, n_text, tuple_id = fields
-            try:
-                n = _parse_length(n_text)
-            except ValueError as exc:
-                raise ConfigError(str(exc), path=where(start)) from exc
-            means = _row_means(bin_texts, mean_texts, start, where)
-            if len(means) != n_bins:
-                raise ConfigError(
-                    f"{len(means)} bins where shots // bin_size is {n_bins}",
-                    path=where(start),
-                )
-            key = (role, j_text, n, tuple_id)
-            if key in seen:
-                raise ConfigError(f"repeated row {','.join(fields)}", path=where(start))
-            seen.add(key)
-            if role == "qpt":
-                r = len(qpt_rows)
-                if (j_text, n, tuple_id) != (str(r), 1, f"row{r}"):
-                    raise ConfigError(f"expected qpt row {r}", path=where(start))
-                rows = qpt_rows
-            else:
-                row_ids, rows = decays.setdefault((role, j_text), {}).setdefault(n, ([], []))
-                row_ids.append(tuple_id)
-            rows.append(means)
+    run, run_start = [], 0  # the group last added to, and where its 1-D rows begin
+    digest = hashlib.sha256()
+    for start, prefix, means in _dataset_rows(path, n_bins, digest, where):
+        fields = next(csv.reader([prefix]), [])
+        if len(fields) != 4:
+            raise ConfigError(
+                f"expected {len(DATASET_HEADER)} fields, got {len(fields) + 2}",
+                path=where(start),
+            )
+        role, j_text, n_text, tuple_id = fields
+        try:
+            n = _parse_length(n_text)
+        except ValueError as exc:
+            raise ConfigError(str(exc), path=where(start)) from exc
+        if isinstance(means, tuple):
+            means = _row_means(*means, start, where)
+        if len(means) != n_bins:
+            raise ConfigError(
+                f"{len(means)} bins where shots // bin_size is {n_bins}",
+                path=where(start),
+            )
+        key = (role, j_text, n, tuple_id)
+        if key in seen:
+            raise ConfigError(f"repeated row {','.join(fields)}", path=where(start))
+        seen.add(key)
+        if role == "qpt":
+            r = len(qpt_rows)
+            if (j_text, n, tuple_id) != (str(r), 1, f"row{r}"):
+                raise ConfigError(f"expected qpt row {r}", path=where(start))
+            rows = qpt_rows
+        else:
+            row_ids, rows = decays.setdefault((role, j_text), {}).setdefault(n, ([], []))
+            row_ids.append(tuple_id)
+            if rows is not run:
+                _stack_rows(run, run_start)
+                run, run_start = rows, len(rows)
+        rows.append(means)
+    _stack_rows(run, run_start)
 
     def build_decay(j, label) -> DecayDataset:
         groups = {
-            n: LengthGroup(tuple(row_ids), np.array(rows))
+            n: LengthGroup(tuple(row_ids), rows[0] if len(rows) == 1 else np.concatenate(rows))
             for n, (row_ids, rows) in decays[(label, _j_text(j))].items()
         }
         return DecayDataset(
@@ -354,7 +557,7 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             seed=cfg.seed,
             label="qpt",
         )
-    return exp, qpt
+    return exp, qpt, digest.hexdigest()
 
 
 def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, layout: list, where):
@@ -745,11 +948,10 @@ def cmd_simulate(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> No
 
 
 def cmd_fit(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
-    dataset_path = stage_in / "dataset.csv"
-    exp, _ = _read_dataset_csv(dataset_path, cfg)
+    exp, _, dataset_sha256 = _read_dataset_csv(stage_in / "dataset.csv", cfg)
     boot = _fit_stage(cfg, out, written, exp)
     npz = _artifact(out, "bootstrap.npz", written)
-    _write_bootstrap_npz(npz, cfg, boot, _sha256(dataset_path))
+    _write_bootstrap_npz(npz, cfg, boot, dataset_sha256)
 
 
 def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
@@ -760,7 +962,7 @@ def cmd_reconstruct(cfg: RunConfig, out: Path, stage_in: Path, written: list) ->
 def cmd_witness(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> None:
     if not cfg.raw["witness"]["enabled"]:
         return
-    exp, qpt = _read_dataset_csv(stage_in / "dataset.csv", cfg)
+    exp, qpt, _ = _read_dataset_csv(stage_in / "dataset.csv", cfg)
     _witness_stage(cfg, out, written, exp, qpt)
 
 
@@ -876,7 +1078,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         _cleanup(written)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ChannelInversionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         _cleanup(written)
         return 3

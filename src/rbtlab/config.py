@@ -72,6 +72,28 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+def _non_finite(value, path: str = "$"):
+    """``(path, value)`` of the first non-finite number in a JSON-like
+    value, with the path spelled as in schema errors; None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        children = [(f"{path}.{key}", item) for key, item in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{path}[{k}]", item) for k, item in enumerate(value)]
+    else:
+        return None
+    for child_path, item in children:
+        found = _non_finite(item, child_path)
+        if found:
+            return found
+    return None
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"{name} is not a JSON number; numbers must be finite")
+
+
 def _merge_defaults(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -97,6 +119,10 @@ class RunConfig:
             # A gate name and an axis/angle rotation are alternatives, so a
             # given target replaces the default whole.
             merged["target"] = copy.deepcopy(data["target"])
+        # NaN passes the schema's bounds, so non-finite numbers are refused first.
+        bad = _non_finite(merged)
+        if bad is not None:
+            raise ConfigError(f"{bad[1]!r} is not a finite number", path=bad[0])
         validator = jsonschema.Draft202012Validator(load_schema())
         errors = sorted(validator.iter_errors(merged), key=lambda e: list(e.absolute_path))
         if errors:
@@ -120,7 +146,7 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         with open(path) as f:
             try:
-                data = json.load(f)
+                data = json.load(f, parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"not valid JSON ({exc})") from exc
         return cls.from_dict(data)

@@ -157,6 +157,49 @@ class TestConfig:
         assert "$.target.axis: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"noise": {"kind": "depolarizing", "depolarizing": math.nan}}, "$.noise.depolarizing"),
+            ({"target": {"axis": [1, 0, 0], "angle": math.nan}}, "$.target.angle"),
+            ({"target": {"axis": [1, -math.inf, 0], "angle": 1.0}}, "$.target.axis[1]"),
+        ],
+        ids=["depolarizing-nan", "angle-nan", "axis-inf"],
+    )
+    def test_non_finite_number_rejected(self, data, path):
+        # NaN passes the schema's minimum and maximum; the run then died in
+        # the binomial draws with exit 1.
+        with pytest.raises(ConfigError, match="is not a finite number") as excinfo:
+            RunConfig.from_dict(data)
+        assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_file_exits_2(self, tmp_path, capsys, constant):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(TINY_CONFIG).replace('"depolarizing": 0.97', f'"depolarizing": {constant}')
+        )
+        with pytest.raises(ConfigError, match=f"{constant} is not a JSON number"):
+            RunConfig.from_file(config)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", config, "--out", out) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_bounded_to_exact_floats(self, tmp_path, capsys):
+        # Seeds above 2**53 - 1 reached Philox through float64, so 2**53 and
+        # 2**53 + 1 drew the same numbers.
+        assert RunConfig.from_dict({"seed": 2**53 - 1}).seed == 2**53 - 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, seed=2**53)))
+        out = tmp_path / "out"
+        assert run_cli("gen-sequences", "--config", config, "--out", out) == 2
+        assert "$.seed: " in capsys.readouterr().err
+        config.write_text(json.dumps(TINY_CONFIG))
+        assert run_cli("gen-sequences", "--config", config, "--seed", 2**53, "--out", out) == 2
+        assert "$.seed: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_axis_angle_target_runs(self, tmp_path):
         # A given target replaces the default {"name": "hadamard"} whole;
         # merged into it, an axis/angle target failed the schema's oneOf.
@@ -359,6 +402,26 @@ class TestStages:
         with pytest.raises(RuntimeError, match="forced"):
             run_cli("pipeline", "--config", tiny_config, "--out", out)
         assert list(out.iterdir()) == []
+
+
+class TestNumericalFailure:
+    def test_ill_conditioned_null_estimate_exits_3(self, tmp_path, capsys):
+        # Fully depolarizing noise leaves the null-operation estimate with
+        # condition number 1.4e6; the witness correction refused to invert
+        # it with an uncaught ChannelInversionError and exit 1.
+        config = tmp_path / "config.json"
+        noise = {"kind": "depolarizing", "depolarizing": 0.0}
+        config.write_text(json.dumps(dict(TINY_CONFIG, noise=noise)))
+        fused, staged = tmp_path / "fused", tmp_path / "staged"
+        assert run_cli("pipeline", "--config", config, "--out", fused) == 3
+        assert "numerical failure: null-operation estimate is ill-conditioned" in (
+            capsys.readouterr().err
+        )
+        assert list(fused.iterdir()) == []
+        assert run_cli("simulate", "--config", config, "--out", staged) == 0
+        assert run_cli("witness", "--config", config, "--out", staged) == 3
+        assert "ill-conditioned" in capsys.readouterr().err
+        assert [p.name for p in staged.iterdir()] == ["dataset.csv"]
 
 
 class TestDatasetDesign:
@@ -603,6 +666,106 @@ class TestWitnessStage:
         assert any(label.startswith("null/") for label in touched) == (variants != ["raw"])
 
 
+def assert_same_experiment(exp, qpt, read):
+    """``read`` is ``_read_dataset_csv``'s result for a file written from
+    ``(exp, qpt)``: the same datasets, row ids and bin bits."""
+    exp_read, qpt_read, _ = read
+    assert list(exp_read.decays) == list(exp.decays)
+    for key, written in exp.decays.items():
+        got = exp_read.decays[key]
+        assert (got.label, got.basis_index) == (written.label, written.basis_index), key
+        assert list(got.groups) == list(written.groups), key
+        for n, grp in written.groups.items():
+            assert got.groups[n].row_ids == grp.row_ids, (key, n)
+            assert got.groups[n].bins.shape == grp.bins.shape, (key, n)
+            assert got.groups[n].bins.tobytes() == grp.bins.tobytes(), (key, n)
+    assert (qpt_read.bins.shape, qpt_read.bins.tobytes()) == (qpt.bins.shape, qpt.bins.tobytes())
+
+
+def edit_mean(line, text):
+    return line.rsplit(",", 1)[0] + "," + text
+
+
+def edit_bin_id(line, text):
+    head, _, mean = line.rsplit(",", 2)
+    return f"{head},{text},{mean}"
+
+
+# Corrupted files: an edit of the tiny dataset.csv's lines (header first; 4
+# bins per row, so row 1 is lines 2-5) and the message the line-by-line
+# reader gave for it.
+CORRUPTED = {
+    "header": (
+        lambda ls: ["role,j,n,tuple,bin_id,mean"] + ls[1:],
+        "dataset.csv:1: unexpected header ['role', 'j', 'n', 'tuple', 'bin_id', 'mean']",
+    ),
+    "two-fields": (
+        lambda ls: ls[:5] + ["a,b"] + ls[6:],
+        "dataset.csv:6: expected 6 fields, got 2",
+    ),
+    "extra-field": (
+        lambda ls: ls[:1] + [line + ",x" for line in ls[1:5]] + ls[5:],
+        "dataset.csv:2: expected 6 fields, got 7",
+    ),
+    "blank-line": (
+        lambda ls: ls[:8] + [""] + ls[8:],
+        "dataset.csv:6: 3 bins where shots // bin_size is 4",
+    ),
+    "lone-cr": (
+        lambda ls: ls[:3] + [ls[3][:8] + "\r" + ls[3][8:]] + ls[4:],
+        "dataset.csv:2: 2 bins where shots // bin_size is 4",
+    ),
+    "mean-text": (
+        lambda ls: ls[:3] + [edit_mean(ls[3], "abc")] + ls[4:],
+        "dataset.csv:4: could not convert string to float: 'abc'",
+    ),
+    "mean-range": (
+        lambda ls: ls[:7] + [edit_mean(ls[7], "1.5")] + ls[8:],
+        "dataset.csv:8: bin mean 1.5 outside [0, 1]",
+    ),
+    "mean-nan": (
+        lambda ls: ls[:7] + [edit_mean(ls[7], "nan")] + ls[8:],
+        "dataset.csv:8: bin mean nan outside [0, 1]",
+    ),
+    "mean-empty": (
+        lambda ls: ls[:4] + [edit_mean(ls[4], "")] + ls[5:],
+        "dataset.csv:5: could not convert string to float: ''",
+    ),
+    "bin-text": (
+        lambda ls: ls[:2] + [edit_bin_id(ls[2], "x")] + ls[3:],
+        "dataset.csv:3: invalid literal for int() with base 10: 'x'",
+    ),
+    "bin-skipped": (
+        lambda ls: ls[:3] + [edit_bin_id(ls[3], "3")] + ls[4:],
+        "dataset.csv:4: bin id 3 where 2 was expected",
+    ),
+    "length-text": (
+        lambda ls: ls[:1] + [line.replace(",1,1,1,", ",1,two,1,") for line in ls[1:5]] + ls[5:],
+        "dataset.csv:2: invalid literal for int() with base 10: 'two'",
+    ),
+    "adjacent-identical-rows": (
+        lambda ls: ls[:5] + ls[1:5] + ls[5:],
+        "dataset.csv:6: bin id 0 where 4 was expected",
+    ),
+    "repeated-row": (
+        lambda ls: ls[:9] + ls[1:5] + ls[9:],
+        "dataset.csv:10: repeated row hadamard/overlap-1,1,1,1",
+    ),
+    "short-last-row": (
+        lambda ls: ls[:-1],
+        "dataset.csv:14158: 3 bins where shots // bin_size is 4",
+    ),
+    "qpt-row": (
+        lambda ls: ls[:-4] + [line.replace(",row11,", ",row9,") for line in ls[-4:]],
+        "dataset.csv:14158: expected qpt row 11",
+    ),
+    "quoted-comma": (
+        lambda ls: ls[:1] + ['"a,b"' + line[line.index(",") :] for line in ls[1:5]] + ls[5:],
+        "dataset.csv: dataset hadamard/overlap-1 has 11 rows at length 1, expected 12",
+    ),
+}
+
+
 class TestDatasetCsv:
     def test_writer_matches_reference_bytes(self, tiny_experiment, tmp_path):
         exp, qpt = tiny_experiment
@@ -622,7 +785,7 @@ class TestDatasetCsv:
         path = tmp_path / "dataset.csv"
         cli._write_dataset_csv(path, exp, qpt)
         path.write_bytes(path.read_bytes().replace(b"\r\n", line_end))
-        exp_read, qpt_read = cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
+        exp_read, qpt_read, _ = cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
         pairs = [(exp.reference, exp_read.reference)]
         pairs += [(exp.datasets[j], exp_read.datasets[j]) for j in exp.datasets]
         pairs += [(exp.null_datasets[j], exp_read.null_datasets[j]) for j in exp.null_datasets]
@@ -638,6 +801,85 @@ class TestDatasetCsv:
                 assert read.groups[n].row_ids == grp.row_ids
                 assert np.array_equal(read.groups[n].bins, grp.bins)
         assert np.array_equal(qpt_read.bins, qpt.bins)
+
+    # The block reader gives what the line-by-line reading gives: the same
+    # Experiment and QPT bins, or the same error.
+
+    @pytest.fixture
+    def written(self, tiny_experiment, tmp_path):
+        exp, qpt = tiny_experiment
+        # Means that are not multiples of 1/bin_size have long reprs.
+        exp.reference.groups[1].bins[0, :3] = [0.1 + 0.2, 1 / 3, 2 / 3]
+        exp.datasets[2].groups[2].bins[3, 1] = 5e-324
+        qpt.bins[0, 0] = 1 / 7
+        path = tmp_path / "dataset.csv"
+        cli._write_dataset_csv(path, exp, qpt)
+        return exp, qpt, path
+
+    @pytest.mark.parametrize("block_bytes", [None, 50], ids=["default-blocks", "rows-straddle"])
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda data: data,
+            lambda data: data.replace(b"\r\n", b"\n"),
+            lambda data: data[:-2],
+            lambda data: data.replace(b"\r\n", b"\n")[:-1],
+        ],
+        ids=["crlf", "lf", "crlf-no-final-newline", "lf-no-final-newline"],
+    )
+    def test_writer_output_read_in_blocks(self, written, monkeypatch, block_bytes, rewrite):
+        exp, qpt, path = written
+        path.write_bytes(rewrite(path.read_bytes()))
+        if block_bytes:
+            # A tiny row is four lines of about 30 bytes, so every row
+            # spans two or more reads.
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        def fail(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(cli, "_text_rows", fail)
+        read = cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
+        assert_same_experiment(exp, qpt, read)
+        assert read[2] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("block_bytes", [None, 50], ids=["default-blocks", "rows-straddle"])
+    def test_non_canonical_spellings_read_line_by_line(self, written, monkeypatch, block_bytes):
+        exp, qpt, path = written
+        grp = exp.datasets[3].groups[1]
+        grp.bins[5, :2] = 0.5
+        cli._write_dataset_csv(path, exp, qpt)
+        lines = path.read_text().splitlines()
+        prefix = f"hadamard/overlap-3,3,1,{grp.row_ids[5]}"
+        k = lines.index(f"{prefix},0,0.5")
+        lines[k] = f"{prefix},00,5e-1"
+        lines[k + 1] = edit_mean(lines[k + 1], "0.50")
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        if block_bytes:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        starts = []
+        text_rows = cli._text_rows
+
+        def counted(path, first, where):
+            starts.append(first)
+            return text_rows(path, first, where)
+
+        monkeypatch.setattr(cli, "_text_rows", counted)
+        read = cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
+        assert_same_experiment(exp, qpt, read)
+        # Line-by-line reading starts at a row boundary at or before the edit.
+        assert len(starts) == 1 and starts[0] <= k + 1 and (starts[0] - 2) % 4 == 0
+
+    @pytest.mark.parametrize("block_bytes", [None, 50], ids=["default-blocks", "rows-straddle"])
+    @pytest.mark.parametrize("case", list(CORRUPTED))
+    def test_corrupted_file_error(self, tiny_config, tmp_path, capsys, monkeypatch, case, block_bytes):
+        edit, message = CORRUPTED[case]
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", tiny_config, "--out", out) == 0
+        rewrite_lines(out / "dataset.csv", edit)
+        if block_bytes:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes, raising=False)
+        assert run_cli("fit", "--config", tiny_config, "--out", out) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestSequencesJson:

@@ -130,6 +130,12 @@ class RunConfig:
             raise ConfigError(err.message, path=err.json_path)
         if merged["shots"] % merged["bin_size"]:
             raise ConfigError("shots must be divisible by bin_size", path="$.shots")
+        if merged["witness"]["enabled"] and (merged["shots"] // merged["bin_size"]) % 2:
+            # The witness splits every row's bins into two equal halves.
+            raise ConfigError(
+                "the witness needs an even number of bins per row (shots // bin_size)",
+                path="$.bin_size",
+            )
         if merged["noise"]["t2"] > 2 * merged["noise"]["t1"]:
             raise ConfigError("t2 must not exceed 2*t1", path="$.noise.t2")
         axis = merged["target"].get("axis")

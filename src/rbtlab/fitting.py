@@ -15,9 +15,14 @@ estimates always lie strictly inside the box.  Fast decays are seeded by a
 ratio-of-differences estimate plus a {-1/3, 0, +1/3} multi-start; the best
 objective wins.
 
-Everything is vectorized over a batch axis so that the 2,000-replication
-non-parametric bootstrap refits run as array programs rather than Python
-loops.
+Everything is vectorized over a batch axis: :func:`joint_fits` runs the
+starts of many overlap/reference pairs as one minimizer batch, and the
+bootstrap refits of every replication of every dataset of an experiment run
+in as few batches as ``_FIT_ROWS`` allows, so Python loops over neither
+datasets nor replications.  Batching cannot change a result: every step of
+the minimizer (the objective, its gradient, the line search, the search
+direction and the rank-two update) acts on each row alone, so a row follows
+the same path whichever rows share its batch.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "FitResult",
     "prony_seed",
     "joint_fit",
+    "joint_fits",
     "bootstrap",
     "decay_to_overlap",
     "resampled_means",
@@ -64,6 +70,14 @@ _EDGE_U = 15.0
 # the same from run to run.
 _RESAMPLE_ELEMENTS = 1 << 18
 _RESAMPLE_CHUNK = 64  # replications in one chunk, at most
+# Rows in one minimizer batch of several problems, at most.  A batch pays
+# the minimizer's per-iteration cost in Python once for all its rows, and up
+# to 500 iterations whenever one of its rows fails to converge, so fewer,
+# larger batches are faster, while its (rows, 4, 4) inverse-Hessian
+# temporaries grow with it.  At this size a paper-scale bootstrap refit
+# (2,000 replications of 20 datasets) runs in ten batches, about a quarter
+# faster than one batch per dataset, for about 5 MiB more peak memory.
+_FIT_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -333,6 +347,42 @@ def _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0):
     }
 
 
+def _fit_batches(problems: list) -> list:
+    """:func:`_fit_many` of every problem, with problems batched together.
+
+    A problem is ``(n_o, y_o, inf_o, n_r, y_r, inf_r, u0)`` as
+    :func:`_fit_many` takes it.  Problems with the same signature (both
+    curves' finite lengths, and whether each has an infinite-length row;
+    every dataset of an experiment shares one) are stacked row-wise into
+    one call, in order, until the next would take it past ``_FIT_ROWS``
+    rows; a problem is never split.  Returns one result dict per problem.
+    """
+    batches, rows = {}, {}
+    for k, (n_o, _, inf_o, n_r, _, inf_r, u0) in enumerate(problems):
+        key = (tuple(n_o), tuple(n_r), inf_o is None, inf_r is None)
+        if key not in batches or rows[key] + u0.shape[0] > _FIT_ROWS:
+            batches.setdefault(key, []).append([])
+            rows[key] = 0
+        batches[key][-1].append(k)
+        rows[key] += u0.shape[0]
+    out = [None] * len(problems)
+    for members in (batch for group in batches.values() for batch in group):
+        first = problems[members[0]]
+
+        def stacked(col):
+            # A batch of one problem takes its arrays uncopied.
+            if first[col] is None or len(members) == 1:
+                return first[col]
+            return np.concatenate([problems[k][col] for k in members])
+
+        y_o, inf_o, y_r, inf_r, u0 = map(stacked, (1, 2, 4, 5, 6))
+        res = _fit_many(first[0], y_o, inf_o, first[3], y_r, inf_r, u0)
+        bounds = np.cumsum([0] + [problems[k][6].shape[0] for k in members])
+        for k, start, stop in zip(members, bounds[:-1], bounds[1:]):
+            out[k] = {name: value[start:stop] for name, value in res.items()}
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Public fitting API on datasets
 
@@ -380,29 +430,48 @@ def _starts(n_o, y_o, inf_o, n_r, y_r, inf_r):
 def joint_fit(overlap: DecayDataset, reference: DecayDataset) -> FitResult:
     """Best-objective multi-start joint fit of an overlap decay and the
     shared slow reference decay."""
-    n_o, y_o, inf_o = curve_arrays(overlap)
-    n_r, y_r, inf_r = curve_arrays(reference)
-    u0, degenerate = _starts(n_o, y_o, inf_o, n_r, y_r, inf_r)
-    starts = u0.shape[0]
-    res = _fit_many(
-        n_o,
-        np.tile(y_o, (starts, 1)),
-        None if inf_o is None else np.full(starts, inf_o),
-        n_r,
-        np.tile(y_r, (starts, 1)),
-        None if inf_r is None else np.full(starts, inf_r),
-        u0,
-    )
-    best = int(np.argmin(res["objective"]))
-    return FitResult(
-        rate=float(res["rate"][best]),
-        ref_rate=float(res["ref_rate"][best]),
-        scale=float(res["scale"][best]),
-        offset=float(res["offset"][best]),
-        objective=float(res["objective"][best]),
-        converged=bool(res["converged"][best]),
-        degenerate_seed=degenerate,
-    )
+    return joint_fits([(overlap, reference)])[0]
+
+
+def joint_fits(pairs) -> list:
+    """:func:`joint_fit` of every ``(overlap, reference)`` pair, with the
+    starts of all pairs batched together by :func:`_fit_batches`.
+
+    Each pair's best start is picked over its own starts alone, so every
+    result equals the pair's own :func:`joint_fit`.
+    """
+    refs = {}
+    problems, degenerate = [], []
+    for overlap, reference in pairs:
+        n_o, y_o, inf_o = curve_arrays(overlap)
+        if id(reference) not in refs:
+            refs[id(reference)] = curve_arrays(reference)
+        n_r, y_r, inf_r = refs[id(reference)]
+        u0, flat = _starts(n_o, y_o, inf_o, n_r, y_r, inf_r)
+        starts = u0.shape[0]
+        problems.append((
+            n_o,
+            np.tile(y_o, (starts, 1)),
+            None if inf_o is None else np.full(starts, inf_o),
+            n_r,
+            np.tile(y_r, (starts, 1)),
+            None if inf_r is None else np.full(starts, inf_r),
+            u0,
+        ))
+        degenerate.append(flat)
+    out = []
+    for res, flat in zip(_fit_batches(problems), degenerate):
+        best = int(np.argmin(res["objective"]))
+        out.append(FitResult(
+            rate=float(res["rate"][best]),
+            ref_rate=float(res["ref_rate"][best]),
+            scale=float(res["scale"][best]),
+            offset=float(res["offset"][best]),
+            objective=float(res["objective"][best]),
+            converged=bool(res["converged"][best]),
+            degenerate_seed=flat,
+        ))
+    return out
 
 
 def _resample_bins(bins: np.ndarray, replications: int, rng, reduce, draws=None):
@@ -459,17 +528,21 @@ def _split_inf(means_by_length):
     return n, y, inf_y
 
 
-def _refit(means_o: dict, means_r: dict, point: FitResult) -> dict:
-    """Joint refit of every replication of resampled overlap and reference
-    means (as returned by :func:`resampled_means`), warm-started from the
-    point estimate."""
-    n_o, y_o, inf_o = _split_inf(means_o)
+def _refits(means: list, means_r: dict, points: list) -> list:
+    """Joint refits of every replication of several overlaps' resampled
+    means against one reference's (each as returned by
+    :func:`resampled_means`), each overlap warm-started from its point
+    estimate, all in one minimizer batch; one result dict per overlap."""
     n_r, y_r, inf_r = _split_inf(means_r)
-    u0 = np.tile(
-        _to_u(point.rate, point.ref_rate, point.scale, point.offset)[None, :],
-        (y_o.shape[0], 1),
-    )
-    return _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0)
+    problems = []
+    for means_o, point in zip(means, points):
+        n_o, y_o, inf_o = _split_inf(means_o)
+        u0 = np.tile(
+            _to_u(point.rate, point.ref_rate, point.scale, point.offset)[None, :],
+            (y_o.shape[0], 1),
+        )
+        problems.append((n_o, y_o, inf_o, n_r, y_r, inf_r, u0))
+    return _fit_batches(problems)
 
 
 def percentile_ci(samples: np.ndarray, axis: int = 0):
@@ -501,7 +574,7 @@ def bootstrap(
     means_r = resampled_means(
         reference, replications, seed, samples_per_config, "bootstrap-reference"
     )
-    res = _refit(means_o, means_r, point)
+    res = _refits([means_o], means_r, [point])[0]
     ci = {
         name: percentile_ci(res[name])
         for name in ("rate", "ref_rate", "scale", "offset")

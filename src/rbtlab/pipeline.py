@@ -7,7 +7,11 @@ randomizing-gate error by left/right correction), and one shared reference
 decay (a standard benchmarking experiment of the null operation).  All
 bootstrap machinery is batched: every replication resamples each dataset's
 bins per configuration, refits all decays, and propagates through the linear
-reconstruction, so replication loops never leave numpy.
+reconstruction, so replication loops never leave numpy.  An experiment's
+point fits run as one minimizer batch, and the refits of every replication
+of every dataset as one more (split between datasets past 4,096 rows);
+since each minimizer row evolves on its own, the results are those of
+fitting one dataset at a time.
 """
 
 from __future__ import annotations
@@ -17,17 +21,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import NoiseModel, SpamModel
-from .fitting import (
-    _refit,
+# perfbench/tracer.py wraps pipeline.joint_fit, so the name stays here.
+from .fitting import (  # noqa: F401
+    _refits,
     _resample_bins,
     decay_to_overlap,
     joint_fit,
+    joint_fits,
     percentile_ci,
     resampled_means,
 )
 from .groups import rotation_unitary
 from .pauli import avg_fidelity, superop_from_unitary, unital_part
 from .reconstruction import (
+    ChannelInversionError,
     OverlapVector,
     Reconstruction,
     corrected,
@@ -204,7 +211,14 @@ def simulate_experiment(
 def fit_overlaps(datasets: dict, reference: DecayDataset) -> list:
     """Joint four-parameter fit of every overlap decay against the shared
     reference decay."""
-    return [joint_fit(datasets[j], reference) for j in sorted(datasets)]
+    return _fit_sets([datasets], reference)[0]
+
+
+def _fit_sets(sets: list, reference: DecayDataset) -> list:
+    """:func:`fit_overlaps` of several overlap sets against one reference,
+    all in one :func:`joint_fits` call."""
+    fits = iter(joint_fits([(ds[j], reference) for ds in sets for j in sorted(ds)]))
+    return [[next(fits) for _ in ds] for ds in sets]
 
 
 def overlaps_from_fits(fits) -> np.ndarray:
@@ -256,7 +270,13 @@ class ExperimentBootstrap:
         unital = reconstruct_unital_batch(decay_to_overlap(self.rates))
         left = right = None
         if self.null_rates is not None:
-            inv = np.linalg.inv(reconstruct_unital_batch(decay_to_overlap(self.null_rates)))
+            null = reconstruct_unital_batch(decay_to_overlap(self.null_rates))
+            try:
+                inv = np.linalg.inv(null)
+            except np.linalg.LinAlgError:
+                cond = np.linalg.cond(null)
+                worst = int(np.argmax(cond))
+                raise ChannelInversionError(float(cond[worst]), replication=worst) from None
             left = np.einsum("bij,bjk->bik", inv, unital)
             right = np.einsum("bij,bjk->bik", unital, inv)
         object.__setattr__(self, "unital", unital)
@@ -279,28 +299,6 @@ class ExperimentBootstrap:
         }[variant]
 
 
-def _bootstrap_rates_for(
-    datasets: dict,
-    ref_resamples: dict,
-    fits: list,
-    replications: int,
-    seed: int,
-    samples_per_config: int | None,
-):
-    rates = np.empty((replications, len(datasets)))
-    ref_rates = np.empty((replications, len(datasets)))
-    nonconverged = np.empty(len(datasets), dtype=np.int64)
-    for col, j in enumerate(sorted(datasets)):
-        means = resampled_means(
-            datasets[j], replications, seed, samples_per_config, "bootstrap"
-        )
-        res = _refit(means, ref_resamples, fits[col])
-        rates[:, col] = res["rate"]
-        ref_rates[:, col] = res["ref_rate"]
-        nonconverged[col] = np.count_nonzero(~res["converged"])
-    return rates, ref_rates, nonconverged
-
-
 def experiment_bootstrap(
     exp_datasets: dict,
     reference: DecayDataset,
@@ -314,25 +312,42 @@ def experiment_bootstrap(
     """Joint non-parametric bootstrap of a full experiment.
 
     Each replication resamples every dataset's bins per configuration (the
-    shared reference once, reused by all ten joint fits), refits, and
+    shared reference once, reused by all joint fits), refits, and
     reconstructs; when null-operation data are present the left/right
-    corrected reconstructions are propagated as well.
+    corrected reconstructions are propagated as well.  Missing point fits
+    are made in one :func:`joint_fits` batch, and the refits of every
+    replication of every dataset run as one more.
     """
-    fits = fits or fit_overlaps(exp_datasets, reference)
+    sets = [exp_datasets] + ([] if null_datasets is None else [null_datasets])
+    points = [fits, null_fits][: len(sets)]
+    missing = [k for k, given in enumerate(points) if not given]
+    for k, made in zip(missing, _fit_sets([sets[k] for k in missing], reference)):
+        points[k] = made
+    fits, null_fits = (points + [None])[:2]
     ref_resamples = resampled_means(
         reference, replications, seed, samples_per_config, "bootstrap"
     )
-    rates, ref_rates, nonconverged = _bootstrap_rates_for(
-        exp_datasets, ref_resamples, fits, replications, seed, samples_per_config
-    )
+    means = [
+        resampled_means(ds[j], replications, seed, samples_per_config, "bootstrap")
+        for ds in sets
+        for j in sorted(ds)
+    ]
+    res = _refits(means, ref_resamples, [f for role in points for f in role])
+    # Columns: the target's overlaps, then the null operation's.
+    n = len(exp_datasets)
+    rates = np.stack([r["rate"] for r in res], axis=1)
+    nonconverged = np.array([np.count_nonzero(~r["converged"]) for r in res], dtype=np.int64)
     null_rates = null_nonconverged = None
     if null_datasets is not None:
-        null_fits = null_fits or fit_overlaps(null_datasets, reference)
-        null_rates, _, null_nonconverged = _bootstrap_rates_for(
-            null_datasets, ref_resamples, null_fits, replications, seed, samples_per_config
-        )
+        null_rates, null_nonconverged = rates[:, n:].copy(), nonconverged[n:]
     return ExperimentBootstrap(
-        fits, null_fits, rates, null_rates, ref_rates, nonconverged, null_nonconverged
+        fits,
+        null_fits,
+        rates[:, :n].copy(),
+        null_rates,
+        np.stack([r["ref_rate"] for r in res[:n]], axis=1),
+        nonconverged[:n],
+        null_nonconverged,
     )
 
 
@@ -422,16 +437,17 @@ def split_half_bootstrap(
     """
     first, second = _halve(datasets)
     ref1, ref2 = split_halves(reference)
-    null_second = null_fits1 = None
+    first_sets, null_second = [first], None
     if null_datasets is not None:
         null_first, null_second = _halve(null_datasets)
-        null_fits1 = fit_overlaps(null_first, ref1)
+        first_sets.append(null_first)
+    fits1 = _fit_sets(first_sets, ref1)
     boot = experiment_bootstrap(
         second, ref2, replications=replications, seed=seed, null_datasets=null_second
     )
     some_group = next(iter(next(iter(second.values())).groups.values()))
     return SplitHalves(
-        first=point_reconstructions(fit_overlaps(first, ref1), null_fits1),
+        first=point_reconstructions(*fits1),
         second=point_reconstructions(boot.fits, boot.null_fits),
         boot=boot,
         samples_per_config=int(some_group.n_bins),

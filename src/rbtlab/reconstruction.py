@@ -47,12 +47,15 @@ W_DECOMPOSITION = ((1.0 + np.sqrt(3.0)) / 3.0, 1.0 / 3.0, (1.0 - np.sqrt(3.0)) /
 
 
 class ChannelInversionError(ValueError):
-    """Raised when a correction would invert an ill-conditioned channel."""
+    """Raised when a correction would invert an ill-conditioned channel;
+    ``replication`` names the bootstrap replication whose estimate it was."""
 
-    def __init__(self, condition_number: float):
+    def __init__(self, condition_number: float, replication: int | None = None):
         self.condition_number = condition_number
+        self.replication = replication
+        where = "" if replication is None else f" of bootstrap replication {replication}"
         super().__init__(
-            f"null-operation estimate is ill-conditioned (cond {condition_number:.3e})"
+            f"null-operation estimate{where} is ill-conditioned (cond {condition_number:.3e})"
         )
 
 

@@ -11,6 +11,8 @@ import pytest
 from rbtlab import cli
 from rbtlab.cli import DATASET_HEADER, main
 from rbtlab.config import ConfigError, RunConfig
+from rbtlab.fitting import RATE_BOUNDS
+from rbtlab.pipeline import ExperimentBootstrap
 
 TINY_CONFIG = {
     "version": 1,
@@ -138,6 +140,19 @@ class TestConfig:
     def test_indivisible_shots_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
             RunConfig.from_dict({"shots": 150})
+
+    def test_odd_bin_count_rejected_when_witness_enabled(self, tmp_path, capsys):
+        # Three bins per row cannot be split into witness halves; the run
+        # died in the witness stage with a ValueError and exit 1.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, shots=300)))
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", config, "--out", out) == 2
+        assert "config error: $.bin_size: " in capsys.readouterr().err
+        assert not out.exists()
+        witness = {"enabled": False, "variants": ["raw", "left", "right"]}
+        config.write_text(json.dumps(dict(TINY_CONFIG, shots=300, witness=witness)))
+        assert run_cli("pipeline", "--config", config, "--out", out) == 0
 
     def test_hash_stable_under_key_order(self):
         a = RunConfig.from_dict({"seed": 3, "shots": 400})
@@ -423,6 +438,31 @@ class TestNumericalFailure:
         assert "ill-conditioned" in capsys.readouterr().err
         assert [p.name for p in staged.iterdir()] == ["dataset.csv"]
 
+    def test_singular_bootstrap_null_estimate_exits_3(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        # A replication whose null rates all sit on the box edge -1/3 has a
+        # zero null estimate; inverting it raised a bare LinAlgError, so the
+        # run exited 1 with a traceback.
+        boot = cli.experiment_bootstrap
+
+        def edge_replication(*args, **kwargs):
+            b = boot(*args, **kwargs)
+            null_rates = b.null_rates.copy()
+            null_rates[2] = RATE_BOUNDS[0]
+            return ExperimentBootstrap(
+                b.fits, b.null_fits, b.rates, null_rates, b.ref_rates,
+                b.nonconverged, b.null_nonconverged,
+            )
+
+        monkeypatch.setattr(cli, "experiment_bootstrap", edge_replication)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 3
+        assert "numerical failure: null-operation estimate of bootstrap replication 2" in (
+            capsys.readouterr().err
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestDatasetDesign:
     # Each edit leaves a well-formed dataset.csv whose design is not the one
@@ -647,18 +687,18 @@ class TestWitnessStage:
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", config, "--out", out) == 0
         resamples, fits = [], []
-        resampled_means, joint_fit = pipeline.resampled_means, pipeline.joint_fit
+        resampled_means, joint_fits = pipeline.resampled_means, pipeline.joint_fits
 
         def counted_resample(ds, *args, **kwargs):
             resamples.append((ds.label, *args, *sorted(kwargs.items())))
             return resampled_means(ds, *args, **kwargs)
 
-        def counted_fit(overlap, reference):
-            fits.append((overlap.label, reference.label))
-            return joint_fit(overlap, reference)
+        def counted_fits(pairs):
+            fits.extend((overlap.label, reference.label) for overlap, reference in pairs)
+            return joint_fits(pairs)
 
         monkeypatch.setattr(pipeline, "resampled_means", counted_resample)
-        monkeypatch.setattr(pipeline, "joint_fit", counted_fit)
+        monkeypatch.setattr(pipeline, "joint_fits", counted_fits)
         assert run_cli("witness", "--config", config, "--out", out) == 0
         assert len(resamples) == len(set(resamples)) == n_resamples
         assert len(fits) == len(set(fits)) == n_fits

@@ -10,6 +10,7 @@ from rbtlab.fitting import (
     curve_arrays,
     decay_to_overlap,
     joint_fit,
+    joint_fits,
     prony_seed,
     resampled_means,
 )
@@ -62,6 +63,68 @@ def means_dataset(means, inf_mean, label):
     }
     groups[INFINITE] = LengthGroup(("0",), np.full((1, 1), inf_mean))
     return DecayDataset(None, label, 100, 100, 0, groups)
+
+
+# Noiseless means of a null-operation overlap whose rate sits on the box edge
+# -1/3 (null overlap 4 at paper scale, configuration seed 1) and of its
+# reference.
+EDGE_OVERLAP_MEANS = ([0.35365625, 0.55218403, 0.48624375], 0.5027659722222222)
+EDGE_REFERENCE_MEANS = ([0.94804931, 0.94610069, 0.94391661], 0.5030319444444444)
+
+
+def looped_joint_fit(overlap, reference):
+    """Reference point fit: one pair's starts as their own minimizer batch."""
+    n_o, y_o, inf_o = curve_arrays(overlap)
+    n_r, y_r, inf_r = curve_arrays(reference)
+    u0, degenerate = fitting._starts(n_o, y_o, inf_o, n_r, y_r, inf_r)
+    starts = u0.shape[0]
+    res = fitting._fit_many(
+        n_o,
+        np.tile(y_o, (starts, 1)),
+        None if inf_o is None else np.full(starts, inf_o),
+        n_r,
+        np.tile(y_r, (starts, 1)),
+        None if inf_r is None else np.full(starts, inf_r),
+        u0,
+    )
+    best = int(np.argmin(res["objective"]))
+    return fitting.FitResult(
+        rate=float(res["rate"][best]),
+        ref_rate=float(res["ref_rate"][best]),
+        scale=float(res["scale"][best]),
+        offset=float(res["offset"][best]),
+        objective=float(res["objective"][best]),
+        converged=bool(res["converged"][best]),
+        degenerate_seed=degenerate,
+    )
+
+
+def looped_experiment_bootstrap(exp, replications, seed):
+    """Reference experiment bootstrap: a point fit and a
+    ``replications``-row refit per dataset, one dataset at a time."""
+    ref_means = resampled_means(exp.reference, replications, seed, None, "bootstrap")
+    n_r, y_r, inf_r = fitting._split_inf(ref_means)
+    out = []
+    for datasets in (exp.datasets, exp.null_datasets):
+        fits = []
+        rates = np.empty((replications, len(datasets)))
+        ref_rates = np.empty((replications, len(datasets)))
+        nonconverged = np.empty(len(datasets), dtype=np.int64)
+        for col, j in enumerate(sorted(datasets)):
+            fit = looped_joint_fit(datasets[j], exp.reference)
+            means = resampled_means(datasets[j], replications, seed, None, "bootstrap")
+            n_o, y_o, inf_o = fitting._split_inf(means)
+            u0 = np.tile(
+                fitting._to_u(fit.rate, fit.ref_rate, fit.scale, fit.offset)[None, :],
+                (replications, 1),
+            )
+            res = fitting._fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0)
+            fits.append(fit)
+            rates[:, col] = res["rate"]
+            ref_rates[:, col] = res["ref_rate"]
+            nonconverged[col] = np.count_nonzero(~res["converged"])
+        out.append((fits, rates, ref_rates, nonconverged))
+    return out
 
 
 class TestPronySeed:
@@ -177,8 +240,8 @@ class TestJointFit:
         # box edge -1/3 (paper-scale data, configuration seed 1).  The fit
         # ends within about 1e-8 of the edge, where each step gains almost
         # nothing, and used to run out of iterations there.
-        over = means_dataset([0.35365625, 0.55218403, 0.48624375], 0.5027659722222222, "edge-o")
-        ref = means_dataset([0.94804931, 0.94610069, 0.94391661], 0.5030319444444444, "edge-r")
+        over = means_dataset(*EDGE_OVERLAP_MEANS, "edge-o")
+        ref = means_dataset(*EDGE_REFERENCE_MEANS, "edge-r")
         fit = joint_fit(over, ref)
         assert fit.converged
         assert fit.rate == pytest.approx(RATE_BOUNDS[0], abs=1e-6)
@@ -314,3 +377,102 @@ class TestBootstrap:
         )
         assert boot.nonconverged.tolist() == [12] * 10
         assert boot.null_nonconverged.tolist() == [12] * 10
+
+
+class TestBatchInvariance:
+    """A fit's result does not depend on the rows it shares a minimizer
+    batch with, so batching fits over datasets leaves every bit unchanged."""
+
+    LENGTHS = np.array([1, 2, 3])
+
+    def problem(self, rng, rows):
+        return (
+            rng.uniform(0.3, 0.9, size=(rows, 3)),
+            rng.uniform(0.4, 0.6, size=rows),
+            rng.uniform(0.3, 0.9, size=(rows, 3)),
+            rng.uniform(0.4, 0.6, size=rows),
+            rng.normal(0.0, 1.5, size=(rows, 4)),
+        )
+
+    def solve(self, y_o, inf_o, y_r, inf_r, u0):
+        fun, grad = fitting._objective_factory(
+            self.LENGTHS, y_o, inf_o, self.LENGTHS, y_r, inf_r
+        )
+        return fitting._bfgs_box(fun, grad, u0)
+
+    @pytest.mark.parametrize("batch", ["single", "permuted", "padded"])
+    def test_bfgs_row_independent_of_batch(self, rng, batch):
+        rows = 16
+        data = self.problem(rng, rows)
+        alone = self.solve(*data)
+        if batch == "single":
+            each = [self.solve(*(a[r : r + 1] for a in data)) for r in range(rows)]
+            got = [np.concatenate(parts) for parts in zip(*each)]
+        else:
+            if batch == "padded":
+                extra = self.problem(rng, 24)
+                data = tuple(np.concatenate([a, b]) for a, b in zip(data, extra))
+            order = rng.permutation(data[0].shape[0])
+            mixed = self.solve(*(a[order] for a in data))
+            where = np.argsort(order)[:rows]
+            got = [out[where] for out in mixed]
+        for name, g, want in zip(("u", "f", "converged"), got, alone):
+            assert g.tobytes() == want.tobytes(), name
+
+    def test_fit_batches_independent_of_batch_size(self, rng, monkeypatch):
+        problems = []
+        for rows in (3, 7, 2, 11, 4):
+            y_o, inf_o, y_r, inf_r, u0 = self.problem(rng, rows)
+            problems.append((self.LENGTHS, y_o, inf_o, self.LENGTHS, y_r, inf_r, u0))
+        each = [fitting._fit_many(*p) for p in problems]
+        for limit in (1, 8, 1000):
+            monkeypatch.setattr(fitting, "_FIT_ROWS", limit)
+            for got, want in zip(fitting._fit_batches(problems), each):
+                for name, value in want.items():
+                    assert got[name].tobytes() == value.tobytes(), (limit, name)
+
+    def test_joint_fits_equal_per_pair_fits(self):
+        edge_ref = means_dataset(*EDGE_REFERENCE_MEANS, "edge-r")
+        ref = synth_dataset(TRUE_REF, seed=82, label="b-r")
+        short_ref = synth_dataset(TRUE_REF, seed=84, label="b-r12", lengths=(1, 2))
+        pairs = [
+            (means_dataset(*EDGE_OVERLAP_MEANS, "edge-o"), edge_ref),
+            (synth_dataset(1 / 3, seed=81, label="b-o"), ref),
+            (synth_dataset(0.0, seed=83, label="b-o0"), ref),
+            (synth_dataset(-0.2, seed=85, label="b-o12", lengths=(1, 2)), short_ref),
+            (
+                synth_dataset(1 / 3, seed=86, label="b-fin", with_inf=False),
+                synth_dataset(TRUE_REF, seed=87, label="b-rfin", with_inf=False),
+            ),
+            (synth_dataset(0.1, seed=88, label="b-o-edge"), edge_ref),
+        ]
+        batched = joint_fits(pairs)
+        assert batched == [joint_fit(o, r) for o, r in pairs]
+        assert batched == [looped_joint_fit(o, r) for o, r in pairs]
+        assert batched[0].converged
+        assert batched[0].rate == pytest.approx(RATE_BOUNDS[0], abs=1e-6)
+
+    @pytest.mark.parametrize("replications", [1, 7, 20])
+    def test_experiment_bootstrap_equals_per_dataset_loop(self, replications):
+        noise = NoiseModel.depolarizing_model(0.99)
+        spam = SpamModel.with_assignment_error(0.95)
+        exp = simulate_experiment(
+            "w", noise, spam, shots=400, bin_size=100, seed=9,
+            repeats={1: 1, INFINITE: 1},
+        )
+        boot = experiment_bootstrap(
+            exp.datasets, exp.reference, replications=replications, seed=3,
+            null_datasets=exp.null_datasets,
+        )
+        target, null = looped_experiment_bootstrap(exp, replications, seed=3)
+        assert boot.fits == target[0]
+        assert boot.null_fits == null[0]
+        for got, want in [
+            (boot.rates, target[1]),
+            (boot.ref_rates, target[2]),
+            (boot.nonconverged, target[3]),
+            (boot.null_rates, null[1]),
+            (boot.null_nonconverged, null[3]),
+        ]:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from rbtlab.channels import depolarizing
+from rbtlab.fitting import RATE_BOUNDS
 from rbtlab.groups import a4_elements, overlap_basis, rotation_unitary
 from rbtlab.pauli import choi, overlap, superop_from_unitary, unital_part
+from rbtlab.pipeline import ExperimentBootstrap
 from rbtlab.reconstruction import (
     ACCESSIBLE_MASK,
     ChannelInversionError,
@@ -116,6 +118,18 @@ class TestCorrected:
         with pytest.raises(ChannelInversionError) as excinfo:
             corrected(np.eye(4), nearly_singular, "left")
         assert excinfo.value.condition_number > 1e6
+
+    def test_singular_bootstrap_null_estimate_names_replication(self, rng):
+        # Null rates all on the box edge -1/3 give zero overlaps and a zero
+        # null estimate; np.linalg.inv raised a bare LinAlgError for it.
+        rates = rng.uniform(0.1, 0.3, size=(5, 10))
+        null_rates = rng.uniform(0.1, 0.3, size=(5, 10))
+        null_rates[3] = RATE_BOUNDS[0]
+        counts = np.zeros(10, dtype=np.int64)
+        with pytest.raises(ChannelInversionError) as excinfo:
+            ExperimentBootstrap([], [], rates, null_rates, rates, counts, counts)
+        assert excinfo.value.replication == 3
+        assert "of bootstrap replication 3 is ill-conditioned" in str(excinfo.value)
 
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side"):

@@ -3,13 +3,14 @@ witness, and pulse sweeps.
 
 Subcommands: ``pipeline``, ``gen-sequences``, ``simulate``, ``fit``,
 ``reconstruct``, ``witness``, ``pulse-scan``.  Each stage is one function
-that takes its inputs in memory and writes its artifacts.  A stage command
-rereads the artifacts of an earlier stage (``--stage-input``, defaulting to
-the output directory) and calls its stage function: ``fit`` and ``witness``
-rebuild the ``Experiment`` from ``dataset.csv``, and ``reconstruct`` reads the
-``bootstrap.npz`` that ``fit`` wrote instead of refitting.  ``pipeline``
-calls the same stage functions in order and hands the simulated
-``Experiment`` and the bootstrap over in memory.
+that takes its inputs in memory and writes its artifacts.  ``fit``,
+``reconstruct`` and ``witness``, the commands that need an earlier stage's
+artifacts, reread them from ``--stage-input`` (defaulting to the output
+directory; no other command takes the flag) and call their stage function:
+``fit`` and ``witness`` rebuild the ``Experiment`` from ``dataset.csv``, and
+``reconstruct`` reads the ``bootstrap.npz`` that ``fit`` wrote instead of
+refitting.  ``pipeline`` calls the same stage functions in order and hands
+the simulated ``Experiment`` and the bootstrap over in memory.
 
 ``dataset.csv`` is read in byte blocks cut after whole rows.  A block spelled
 as the writer spells it is checked and converted with numpy over its raw
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -164,20 +164,6 @@ def _write_sequences_json(path: Path, cfg: RunConfig) -> None:
         f.write(f'\n ],\n "seed": {json.dumps(cfg.seed)}\n}}\n')
 
 
-def _csv_prefixes(rows) -> list:
-    """Each row's fields plus an empty last field, formatted by the csv
-    module's rules without the line terminator: ``role,j,n,tuple_id,``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    out = []
-    for fields in rows:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((*fields, ""))
-        out.append(buf.getvalue()[:-2])
-    return out
-
-
 def _write_bin_lines(f, prefixes: list, bins: np.ndarray) -> None:
     """Write ``prefix + "bin_id,repr(mean)"`` for every bin of every row.
 
@@ -210,11 +196,11 @@ def _write_dataset_csv(path: Path, exp: Experiment, qpt: QptDataset | None) -> N
             for n in ds.lengths():
                 grp = ds.groups[n]
                 fields = (ds.label, _j_text(j), _format_length(n))
-                prefixes = _csv_prefixes((*fields, rid) for rid in grp.row_ids)
+                prefixes = [",".join((*fields, rid, "")) for rid in grp.row_ids]
                 _write_bin_lines(f, prefixes, grp.bins)
         if qpt is not None:
             rows = range(qpt.bins.shape[0])
-            prefixes = _csv_prefixes(("qpt", str(r), "1", f"row{r}") for r in rows)
+            prefixes = [",".join(("qpt", str(r), "1", f"row{r}", "")) for r in rows]
             _write_bin_lines(f, prefixes, qpt.bins)
 
 
@@ -1049,12 +1035,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", type=Path, default=Path("rbtlab-out"))
-        p.add_argument(
-            "--stage-input",
-            type=Path,
-            default=None,
-            help="directory holding upstream artifacts (default: --out)",
-        )
+        if name in ("fit", "reconstruct", "witness"):
+            p.add_argument(
+                "--stage-input",
+                type=Path,
+                default=None,
+                help="directory holding upstream artifacts (default: --out)",
+            )
     return parser
 
 
@@ -1072,7 +1059,7 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_dict(data)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        stage_in = args.stage_input or out
+        stage_in = getattr(args, "stage_input", None) or out
         COMMANDS[args.command](cfg, out, stage_in, written)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

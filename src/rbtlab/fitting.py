@@ -545,9 +545,9 @@ def _refits(means: list, means_r: dict, points: list) -> list:
     return _fit_batches(problems)
 
 
-def percentile_ci(samples: np.ndarray, axis: int = 0):
-    """The (2.5%, 97.5%) percentile interval of ``samples`` along ``axis``."""
-    lo, hi = np.percentile(samples, [2.5, 97.5], axis=axis)
+def percentile_ci(samples: np.ndarray):
+    """The (2.5%, 97.5%) percentile interval of ``samples`` along its first axis."""
+    lo, hi = np.percentile(samples, [2.5, 97.5], axis=0)
     return lo, hi
 
 

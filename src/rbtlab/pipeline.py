@@ -211,14 +211,14 @@ def simulate_experiment(
 def fit_overlaps(datasets: dict, reference: DecayDataset) -> list:
     """Joint four-parameter fit of every overlap decay against the shared
     reference decay."""
-    return _fit_sets([datasets], reference)[0]
+    return _fit_sets([(datasets, reference)])[0]
 
 
-def _fit_sets(sets: list, reference: DecayDataset) -> list:
-    """:func:`fit_overlaps` of several overlap sets against one reference,
-    all in one :func:`joint_fits` call."""
-    fits = iter(joint_fits([(ds[j], reference) for ds in sets for j in sorted(ds)]))
-    return [[next(fits) for _ in ds] for ds in sets]
+def _fit_sets(pairs: list) -> list:
+    """:func:`fit_overlaps` of several (overlap set, reference) pairs, all in
+    one :func:`joint_fits` call."""
+    fits = iter(joint_fits([(ds[j], ref) for ds, ref in pairs for j in sorted(ds)]))
+    return [[next(fits) for _ in ds] for ds, _ in pairs]
 
 
 def overlaps_from_fits(fits) -> np.ndarray:
@@ -321,7 +321,7 @@ def experiment_bootstrap(
     sets = [exp_datasets] + ([] if null_datasets is None else [null_datasets])
     points = [fits, null_fits][: len(sets)]
     missing = [k for k, given in enumerate(points) if not given]
-    for k, made in zip(missing, _fit_sets([sets[k] for k in missing], reference)):
+    for k, made in zip(missing, _fit_sets([(sets[k], reference) for k in missing])):
         points[k] = made
     fits, null_fits = (points + [None])[:2]
     ref_resamples = resampled_means(
@@ -433,22 +433,30 @@ def split_half_bootstrap(
 
     Bootstrap streams are keyed by dataset label, and second-half labels end
     in ``/half2`` whichever variant is scored, so one bootstrap serves the
-    raw and both corrected variants.
+    raw and both corrected variants.  The point fits of both halves run in
+    one :func:`joint_fits` call.
     """
     first, second = _halve(datasets)
     ref1, ref2 = split_halves(reference)
-    first_sets, null_second = [first], None
+    pairs, null_second = [(first, ref1), (second, ref2)], None
     if null_datasets is not None:
         null_first, null_second = _halve(null_datasets)
-        first_sets.append(null_first)
-    fits1 = _fit_sets(first_sets, ref1)
+        pairs += [(null_first, ref1), (null_second, ref2)]
+    fits1, fits2, *null_fits = _fit_sets(pairs)
+    null_fits1, null_fits2 = null_fits or (None, None)
     boot = experiment_bootstrap(
-        second, ref2, replications=replications, seed=seed, null_datasets=null_second
+        second,
+        ref2,
+        replications=replications,
+        seed=seed,
+        null_datasets=null_second,
+        fits=fits2,
+        null_fits=null_fits2,
     )
     some_group = next(iter(next(iter(second.values())).groups.values()))
     return SplitHalves(
-        first=point_reconstructions(*fits1),
-        second=point_reconstructions(boot.fits, boot.null_fits),
+        first=point_reconstructions(fits1, null_fits1),
+        second=point_reconstructions(fits2, null_fits2),
         boot=boot,
         samples_per_config=int(some_group.n_bins),
     )

@@ -8,9 +8,11 @@ source of tomography bugs, so it is fixed here once.
 
 An overlap experiment of length ``n`` iterates the four-slot unit cell
 ``[C_r, target, C_j^-1, C_r^-1]`` (chronological order) with independently
-chosen randomizers ``r``.  Runs of adjacent group gates are folded through
-the integer multiplication table into single gates, leaving the compiled
-alternating form ``[C_a1, target, C_a2, target, ..., C_a(n+1)]``.
+chosen randomizers ``r`` from the A4 twirl group, whose first ten elements
+are the reconstruction basis.  Runs of adjacent group gates are folded
+through A4's integer multiplication table into single gates, leaving the
+compiled alternating form ``[C_a1, target, C_a2, target, ..., C_a(n+1)]``.
+Only :func:`standard_rb_set` also draws from the 24-element Clifford group.
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ class SequenceSet:
         return len(self.sequences)
 
 
-def unit_cell(r: int, j: int, table: GroupTable | None = None) -> list:
+def unit_cell(r: int, j: int) -> list:
     """Four-slot cell ``[C_r, target, C_j^-1, C_r^-1]`` in application order."""
-    table = table or a4_table()
+    table = a4_table()
     return [r, TARGET_SLOT, table.inverse(j), table.inverse(r)]
 
 
@@ -112,11 +114,7 @@ def _fold(run: list, table: GroupTable) -> int:
 
 
 def compile_cells(
-    cells: list,
-    basis_index: int,
-    randomizers: tuple,
-    table: GroupTable | None = None,
-    repeat: int = 0,
+    cells: list, basis_index: int, randomizers: tuple, repeat: int = 0
 ) -> RbtSequence:
     """Fold adjacent gate runs of concatenated unit cells into single gates.
 
@@ -124,7 +122,7 @@ def compile_cells(
     reproduces the uncompiled product exactly for any channel substituted
     into the target slots.
     """
-    table = table or a4_table()
+    table = a4_table()
     tokens = [tok for cell in cells for tok in cell]
     compiled = []
     run = []
@@ -146,25 +144,19 @@ def compile_cells(
     )
 
 
-def make_sequence(
-    randomizers, basis_index: int, table: GroupTable | None = None, repeat: int = 0
-) -> RbtSequence:
+def make_sequence(randomizers, basis_index: int, repeat: int = 0) -> RbtSequence:
     """Build and compile the overlap sequence for a randomizer tuple."""
-    table = table or a4_table()
-    cells = [unit_cell(r, basis_index, table) for r in randomizers]
-    return compile_cells(cells, basis_index, tuple(randomizers), table, repeat=repeat)
+    cells = [unit_cell(r, basis_index) for r in randomizers]
+    return compile_cells(cells, basis_index, tuple(randomizers), repeat=repeat)
 
 
-def infinite_length_surrogate(
-    basis_index: int | None = None, table: GroupTable | None = None, repeats: int = 1
-) -> SequenceSet:
+def infinite_length_surrogate(basis_index: int | None = None, repeats: int = 1) -> SequenceSet:
     """The twelve single-gate sequences whose averaged survival estimates the
     decay asymptote: applying every group element once twirls the prepared
     state onto the maximally mixed state."""
-    table = table or a4_table()
     seqs = []
     for rep in range(repeats):
-        for g in range(1, table.order + 1):
+        for g in range(1, a4_table().order + 1):
             seqs.append(
                 RbtSequence(
                     basis_index=basis_index,
@@ -184,56 +176,37 @@ def infinite_length_surrogate(
 
 
 def exhaustive_set(
-    basis_index: int,
-    lengths=(1, 2, 3),
-    repeats: dict | None = None,
-    table: GroupTable | None = None,
-    include_infinite: bool = True,
+    basis_index: int, lengths=(1, 2, 3), repeats: dict | None = None
 ) -> SequenceSet:
-    """Every randomizer tuple at each requested length, plus the
-    infinite-length surrogate.
+    """Every randomizer tuple over the A4 twirl group at each requested
+    length, plus the infinite-length surrogate.
 
     With the default repeat counts this yields 12 + 144 + 1,728 + 12 = 1,896
-    distinct sequences and 2,160 total runs per overlap experiment.  Sets on
-    the default table are built once per process; each call gets its own
-    ``repeats`` dict, and the sequences are immutable.
+    distinct sequences and 2,160 total runs per overlap experiment.  Each set
+    is built once per process; each call gets its own ``repeats`` dict, and
+    the sequences are immutable.
     """
     if repeats is None:
         repeats = dict(PAPER_REPEATS)
-    if table is not None:
-        return _build_exhaustive_set(basis_index, lengths, repeats, table, include_infinite)
-    shared = _default_exhaustive_set(
-        basis_index, tuple(lengths), frozenset(repeats.items()), include_infinite
-    )
+    shared = _build_exhaustive_set(basis_index, tuple(lengths), frozenset(repeats.items()))
     return replace(shared, repeats=dict(shared.repeats))
 
 
 @lru_cache(maxsize=None)
-def _default_exhaustive_set(basis_index, lengths, repeat_items, include_infinite):
-    return _build_exhaustive_set(
-        basis_index, lengths, dict(repeat_items), a4_table(), include_infinite
-    )
-
-
-def _build_exhaustive_set(basis_index, lengths, repeats, table, include_infinite):
+def _build_exhaustive_set(basis_index, lengths, repeat_items):
+    repeats = dict(repeat_items)
     seqs = []
     for n in lengths:
-        n_rep = repeats.get(n, 1)
-        for rep in range(n_rep):
-            for tup in product(range(1, table.order + 1), repeat=int(n)):
-                seqs.append(make_sequence(tup, basis_index, table, repeat=rep))
-    all_lengths = tuple(lengths)
-    if include_infinite:
-        inf_rep = int(repeats.get(INFINITE, 1))
-        seqs.extend(
-            infinite_length_surrogate(basis_index, table, repeats=inf_rep).sequences
-        )
-        all_lengths = all_lengths + (INFINITE,)
+        for rep in range(repeats.get(n, 1)):
+            for tup in product(range(1, a4_table().order + 1), repeat=int(n)):
+                seqs.append(make_sequence(tup, basis_index, repeat=rep))
+    inf_rep = int(repeats.get(INFINITE, 1))
+    seqs.extend(infinite_length_surrogate(basis_index, repeats=inf_rep).sequences)
     return SequenceSet(
         sequences=tuple(seqs),
         basis_index=basis_index,
-        lengths=all_lengths,
-        repeats=dict(repeats),
+        lengths=lengths + (INFINITE,),
+        repeats=repeats,
     )
 
 

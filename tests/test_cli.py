@@ -334,6 +334,15 @@ class TestStages:
         assert {p.name for p in fused.iterdir()} & witness_files == set()
         assert {p.name for p in staged.iterdir()} & witness_files == set()
 
+    @pytest.mark.parametrize("command", ["pipeline", "gen-sequences", "simulate", "pulse-scan"])
+    def test_stage_input_only_on_readers(self, command, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", tiny_config, "--out", out, "--stage-input", tmp_path)
+        assert exc.value.code == 2
+        assert "--stage-input" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_input_flag(self, tiny_config, tmp_path):
         src = tmp_path / "src"
         run_cli("pipeline", "--config", tiny_config, "--out", src)
@@ -807,6 +816,26 @@ CORRUPTED = {
 
 
 class TestDatasetCsv:
+    @pytest.mark.parametrize(
+        "target",
+        [
+            {"name": "hadamard"},
+            {"name": "w"},
+            {"name": "identity"},
+            {"axis": [1, 2, 3], "angle": 1.1},
+        ],
+        ids=["hadamard", "w", "identity", "axis-angle"],
+    )
+    def test_prefixes_match_csv_module(self, target, tmp_path):
+        # The writer joins each row's fields with commas, which equals the csv
+        # module's formatting only while no field needs quoting.
+        exp, qpt = cli._simulate_all(RunConfig.from_dict(dict(TINY_CONFIG, target=target)))
+        cli._write_dataset_csv(tmp_path / "joined.csv", exp, qpt)
+        reference_dataset_csv(tmp_path / "reference.csv", exp, qpt)
+        data = (tmp_path / "joined.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert b'"' not in data
+
     def test_writer_matches_reference_bytes(self, tiny_experiment, tmp_path):
         exp, qpt = tiny_experiment
         # Means that are not multiples of 1/bin_size exercise repr.

@@ -85,7 +85,7 @@ class TestTwirlSurrogate:
 
 class TestSampleDataset:
     def test_certain_survival_gives_unit_bins(self):
-        ss = exhaustive_set(1, lengths=(1,), repeats={}, include_infinite=False)
+        ss = exhaustive_set(1, lengths=(1,), repeats={})
         ds = sample_dataset(ss, a4_elements()[0].superop, IDEAL, PERFECT, shots=500, bin_size=100, seed=1)
         assert np.all(ds.groups[1].bins == 1.0)
 
@@ -98,7 +98,7 @@ class TestSampleDataset:
         assert abs(grand - 0.5) < 4 * sigma
 
     def test_same_seed_bit_identical(self):
-        ss = exhaustive_set(2, lengths=(1, 2), repeats={}, include_infinite=True)
+        ss = exhaustive_set(2, lengths=(1, 2), repeats={})
         noise = NoiseModel.depolarizing_model(0.95)
         a = sample_dataset(ss, np.eye(4), noise, PERFECT, shots=400, bin_size=100, seed=9, label="x")
         b = sample_dataset(ss, np.eye(4), noise, PERFECT, shots=400, bin_size=100, seed=9, label="x")

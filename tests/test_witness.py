@@ -133,6 +133,21 @@ class TestWitnessReports:
         e1 = point_reconstructions(fit_overlaps(halves, ref1))["raw"]
         assert np.array_equal(report.witness, build_witness(e1))
 
+    def test_halves_fit_in_two_minimizer_batches(self, monkeypatch):
+        # Both halves' point fits share one batch; the second halves' refits
+        # make the other.
+        exp = _small_experiment("w", seed=7)
+        calls = []
+        bfgs_box = fitting._bfgs_box
+
+        def counted(*args):
+            calls.append(args)
+            return bfgs_box(*args)
+
+        monkeypatch.setattr(fitting, "_bfgs_box", counted)
+        split_half_bootstrap(exp.datasets, exp.reference, 10, 7, exp.null_datasets)
+        assert len(calls) == 2
+
     def test_corrected_variant_requires_null_data(self):
         exp = _small_experiment("identity", seed=5)
         with pytest.raises(ValueError, match="null"):

@@ -15,9 +15,11 @@ the simulated ``Experiment`` and the bootstrap over in memory.
 ``dataset.csv`` is read in byte blocks cut after whole rows.  A block spelled
 as the writer spells it is checked and converted with numpy over its raw
 bytes; from the first block that is not, the rest of the file is read line by
-line, which accepts other valid spellings and names the faulty line.  The
-same pass hashes the bytes, and ``fit`` stamps ``bootstrap.npz`` with that
-digest.
+line, which accepts other valid spellings and names the faulty line.  Row
+``k`` of the file must be row ``k`` of the design the configuration implies,
+built from the same sequence sets as ``sequences.json``, so a missing, extra,
+reordered or renamed row is rejected with its line.  The same pass hashes the
+bytes, and ``fit`` stamps ``bootstrap.npz`` with that digest.
 Exit codes: 0 success, 2 configuration or artifact schema error, 3 numerical
 failure (including an ill-conditioned null-operation estimate), 4 I/O error.
 """
@@ -111,12 +113,14 @@ def _j_text(j) -> str:
 
 
 def _sequence_sets(cfg: RunConfig):
-    """(role, j, SequenceSet) of every dataset, in sequences.json order; the
-    reference's ``j`` is the overlap its sequences come from."""
+    """(role, j, label, SequenceSet) of every dataset of
+    :func:`dataset_layout`, in sequences.json and dataset.csv order; the
+    reference (``j`` None) takes the ``REFERENCE_OVERLAP`` sequences, and
+    each set's ``basis_index`` is the overlap its sequences come from."""
     name, unitary = resolve_target(cfg.target_spec())
-    for role, j, _label in dataset_layout(name, unitary is not None):
-        j = j or REFERENCE_OVERLAP
-        yield role, j, exhaustive_set(j, lengths=cfg.lengths(), repeats=cfg.repeats())
+    for role, j, label in dataset_layout(name, unitary is not None):
+        seqs = exhaustive_set(j or REFERENCE_OVERLAP, lengths=cfg.lengths(), repeats=cfg.repeats())
+        yield role, j, label, seqs
 
 
 def _json_int_list(count: int, indent: int) -> str:
@@ -150,7 +154,7 @@ def _write_sequences_json(path: Path, cfg: RunConfig) -> None:
     """
     with path.open("w") as f:
         f.write(f'{{\n "config_hash": {json.dumps(cfg.config_hash())},\n "datasets": [')
-        for k, (role, j, seqs) in enumerate(_sequence_sets(cfg)):
+        for k, (role, _j, _label, seqs) in enumerate(_sequence_sets(cfg)):
             n_texts = {n: json.dumps(_format_length(n)) for n in seqs.lengths}
             items = ",\n".join(
                 _sequence_template(len(s.compiled), len(s.randomizers))
@@ -158,7 +162,7 @@ def _write_sequences_json(path: Path, cfg: RunConfig) -> None:
                 for s in seqs.sequences
             )
             f.write(
-                f'{"," if k else ""}\n  {{\n   "j": {json.dumps(j)},\n'
+                f'{"," if k else ""}\n  {{\n   "j": {json.dumps(seqs.basis_index)},\n'
                 f'   "role": {json.dumps(role)},\n   "sequences": [\n{items}\n   ]\n  }}'
             )
         f.write(f'\n ],\n "seed": {json.dumps(cfg.seed)}\n}}\n')
@@ -441,11 +445,22 @@ def _dataset_rows(path: Path, nb: int, digest, where):
     yield from _text_rows(path, held[0] if held else lineno, where)
 
 
-def _stack_rows(rows: list, start: int) -> None:
-    """Replace the 1-D row means ``rows[start:]`` by one 2-D array, so that
-    the parsed blocks they view can be freed while the file is read."""
-    if rows[start:]:
-        rows[start:] = [np.array(rows[start:])]
+def _check_prefix(prefix: str, want, where: str) -> None:
+    """Accept a row whose ``role,j,n,tuple_id`` prefix spells the design's row
+    ``want`` in another valid way; otherwise raise a ConfigError for its field
+    count, its length, or the row itself (``want`` None: past the last row)."""
+    fields = next(csv.reader([prefix]), [])
+    if len(fields) != 4:
+        raise ConfigError(
+            f"expected {len(DATASET_HEADER)} fields, got {len(fields) + 2}", path=where
+        )
+    try:
+        n = _parse_length(fields[2])
+    except ValueError as exc:
+        raise ConfigError(str(exc), path=where) from exc
+    if ",".join((*fields[:2], _format_length(n), fields[3])) != want:
+        design = "ends" if want is None else f"has row {want}"
+        raise ConfigError(f"row {prefix} where the design {design}", path=where)
 
 
 def _read_dataset_csv(path: Path, cfg: RunConfig):
@@ -453,38 +468,63 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
     and SPAM models of the configuration; ``sha256`` is the hex digest of the
     bytes read.
 
-    The file is read in blocks (see :func:`_dataset_rows`): each row's
-    ``role,j,n,tuple_id`` prefix is parsed once and its bin means come from
-    numpy.  A wrong header or field count, an unparsable number, a mean
-    outside [0, 1], bin ids other than 0, 1, 2, ... in order, a bin count
-    other than the configuration's ``shots // bin_size``, or a repeated row
-    raises a ConfigError naming the line.  A design other than the
-    configuration's (see :func:`_check_design`) raises one naming the dataset
-    and the length.
+    The configuration's design is the reader's only record of which rows
+    exist: the datasets of :func:`_sequence_sets` in order, each with its
+    rows by length (``inf`` last) in sequence order, then the 12 tomography
+    rows when QPT is on for a target with null data.  Every length group and
+    the tomography data view their rows of one array.  Row ``k`` of the file
+    (a run of lines sharing one ``role,j,n,tuple_id`` prefix, read in blocks
+    by :func:`_dataset_rows`) must be row ``k`` of the design, and its bin
+    means fill row ``k`` of that array.  A wrong header or field count, an
+    unparsable number, a mean outside [0, 1], bin ids other than 0, 1, 2, ...
+    in order, a bin count other than the configuration's ``shots //
+    bin_size``, or a row other than the design's raises a ConfigError naming
+    the line; a file that ends early raises one naming the first missing row.
     """
 
     def where(lineno: int) -> str:
         return f"{path.name}:{lineno}"
 
+    name, unitary = resolve_target(cfg.target_spec())
+    sets = list(_sequence_sets(cfg))
+    n_qpt = 12 if cfg.raw["qpt"]["enabled"] and unitary is not None else 0
     n_bins = cfg.raw["shots"] // cfg.raw["bin_size"]
+    bins = np.empty((sum(len(seqs) for *_, seqs in sets) + n_qpt, n_bins))
+    prefixes, decays = [], {}  # the design's rows in file order, and its datasets
+    for role, j, label, seqs in sets:
+        row_ids = {n: [] for n in sorted(seqs.lengths)}  # inf sorts last
+        for seq in seqs.sequences:
+            row_ids[seq.length].append(seq.row_id)
+        groups = {}
+        for n, ids in row_ids.items():
+            groups[n] = LengthGroup(tuple(ids), bins[len(prefixes) : len(prefixes) + len(ids)])
+            head = f"{label},{_j_text(j)},{_format_length(n)},"
+            prefixes += [head + row_id for row_id in ids]
+        decays[(role, j)] = DecayDataset(
+            basis_index=seqs.basis_index,
+            label=label,
+            shots=cfg.raw["shots"],
+            bin_size=cfg.raw["bin_size"],
+            seed=cfg.seed,
+            groups=groups,
+        )
+    qpt = None
+    if n_qpt:
+        qpt = QptDataset(
+            bins=bins[len(prefixes) :],
+            shots=cfg.raw["shots"],
+            bin_size=cfg.raw["bin_size"],
+            seed=cfg.seed,
+            label="qpt",
+        )
+        prefixes += [f"qpt,{r},1,row{r}" for r in range(n_qpt)]
 
-    decays: dict = {}  # (role, j text) -> {n: (row ids, blocks of row means)}
-    qpt_rows: list = []
-    seen: set = set()
-    run, run_start = [], 0  # the group last added to, and where its 1-D rows begin
     digest = hashlib.sha256()
+    k = 0
     for start, prefix, means in _dataset_rows(path, n_bins, digest, where):
-        fields = next(csv.reader([prefix]), [])
-        if len(fields) != 4:
-            raise ConfigError(
-                f"expected {len(DATASET_HEADER)} fields, got {len(fields) + 2}",
-                path=where(start),
-            )
-        role, j_text, n_text, tuple_id = fields
-        try:
-            n = _parse_length(n_text)
-        except ValueError as exc:
-            raise ConfigError(str(exc), path=where(start)) from exc
+        want = prefixes[k] if k < len(prefixes) else None
+        if prefix != want:
+            _check_prefix(prefix, want, where(start))
         if isinstance(means, tuple):
             means = _row_means(*means, start, where)
         if len(means) != n_bins:
@@ -492,96 +532,18 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
                 f"{len(means)} bins where shots // bin_size is {n_bins}",
                 path=where(start),
             )
-        key = (role, j_text, n, tuple_id)
-        if key in seen:
-            raise ConfigError(f"repeated row {','.join(fields)}", path=where(start))
-        seen.add(key)
-        if role == "qpt":
-            r = len(qpt_rows)
-            if (j_text, n, tuple_id) != (str(r), 1, f"row{r}"):
-                raise ConfigError(f"expected qpt row {r}", path=where(start))
-            rows = qpt_rows
-        else:
-            row_ids, rows = decays.setdefault((role, j_text), {}).setdefault(n, ([], []))
-            row_ids.append(tuple_id)
-            if rows is not run:
-                _stack_rows(run, run_start)
-                run, run_start = rows, len(rows)
-        rows.append(means)
-    _stack_rows(run, run_start)
-
-    def build_decay(j, label) -> DecayDataset:
-        groups = {
-            n: LengthGroup(tuple(row_ids), rows[0] if len(rows) == 1 else np.concatenate(rows))
-            for n, (row_ids, rows) in decays[(label, _j_text(j))].items()
-        }
-        return DecayDataset(
-            basis_index=j or REFERENCE_OVERLAP,
-            label=label,
-            shots=cfg.raw["shots"],
-            bin_size=cfg.raw["bin_size"],
-            seed=cfg.seed,
-            groups=groups,
-        )
-
-    name, unitary = resolve_target(cfg.target_spec())
-    layout = dataset_layout(name, unitary is not None)
-    _check_design(decays, qpt_rows, cfg, layout, path.name)
+        bins[k] = means
+        k += 1
+    if k < len(prefixes):
+        raise ConfigError(f"ends before row {prefixes[k]} of the design", path=path.name)
     exp = Experiment(
         target_name=name,
         target_unitary=unitary,
-        decays={(role, j): build_decay(j, label) for role, j, label in layout},
+        decays=decays,
         noise=cfg.noise_model(),
         spam=cfg.spam_model(),
     )
-    qpt = None
-    if qpt_rows:
-        qpt = QptDataset(
-            bins=np.array(qpt_rows),
-            shots=cfg.raw["shots"],
-            bin_size=cfg.raw["bin_size"],
-            seed=cfg.seed,
-            label="qpt",
-        )
     return exp, qpt, digest.hexdigest()
-
-
-def _check_design(decays: dict, qpt_rows: list, cfg: RunConfig, layout: list, where):
-    """Require the datasets of the configuration's layout (see
-    :func:`dataset_layout`), each with ``12**n * repeats`` rows at every
-    configured length ``n`` and ``12 * repeats`` at ``inf``; and the 12
-    tomography rows exactly when QPT is on for a target with null data."""
-    repeats = cfg.repeats()
-    rows_at = {n: 12**n * repeats.get(n, 1) for n in cfg.lengths()}
-    rows_at[INFINITE] = 12 * repeats.get(INFINITE, 1)
-    expected = [(label, _j_text(j)) for _role, j, label in layout]
-    for role, j_text in expected:
-        if (role, j_text) not in decays:
-            raise ConfigError(f"no rows for dataset {role}", path=where)
-        groups = decays[(role, j_text)]
-        for n, want in rows_at.items():
-            got = len(groups[n][0]) if n in groups else 0
-            if got != want:
-                raise ConfigError(
-                    f"dataset {role} has {got} rows at length {_format_length(n)}, "
-                    f"expected {want}",
-                    path=where,
-                )
-        extra = groups.keys() - rows_at.keys()
-        if extra:
-            raise ConfigError(
-                f"dataset {role} has rows at length {_format_length(min(extra))}, "
-                "which the configuration does not list",
-                path=where,
-            )
-    unexpected = decays.keys() - set(expected)
-    if unexpected:
-        role, j_text = min(unexpected)
-        raise ConfigError(f"unexpected dataset {role} with j {j_text!r}", path=where)
-    has_null = any(role == "null" for role, _j, _label in layout)
-    want_qpt = 12 if cfg.raw["qpt"]["enabled"] and has_null else 0
-    if len(qpt_rows) != want_qpt:
-        raise ConfigError(f"expected {want_qpt} qpt rows, got {len(qpt_rows)}", path=where)
 
 
 def _fits_with_ci(fits: list, rates: np.ndarray, nonconverged: np.ndarray) -> list:

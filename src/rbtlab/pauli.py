@@ -36,8 +36,6 @@ __all__ = [
     "min_eig_and_vector",
     "pauli_vector",
     "density_matrix",
-    "is_trace_preserving",
-    "is_cptp",
     "superop_to_list",
     "superop_from_list",
 ]
@@ -200,17 +198,6 @@ def pauli_vector(rho: np.ndarray) -> np.ndarray:
 def density_matrix(c: np.ndarray) -> np.ndarray:
     """Density operator ``(1/2) sum_k c[k] P_k`` of a coefficient vector."""
     return 0.5 * np.tensordot(np.asarray(c, dtype=float), PAULIS, axes=1)
-
-
-def is_trace_preserving(e: np.ndarray, atol: float = 1e-10) -> bool:
-    return bool(np.allclose(np.asarray(e)[0], [1.0, 0.0, 0.0, 0.0], atol=atol))
-
-
-def is_cptp(e: np.ndarray, atol: float = 1e-10) -> bool:
-    """Trace preservation plus complete positivity via the Choi spectrum."""
-    if not is_trace_preserving(e, atol=atol):
-        return False
-    return float(np.linalg.eigvalsh(choi(e))[0]) >= -atol
 
 
 def superop_to_list(e: np.ndarray) -> list:

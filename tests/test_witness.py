@@ -48,9 +48,13 @@ class TestSplitHalves:
             "identity", noise, SpamModel.ideal(), shots=200, bin_size=100, seed=0,
             lengths=(1,), repeats={},
         )
-        first, second = split_halves(exp.datasets[1])
-        assert first.datasets if False else True
+        ds = exp.datasets[1]
+        first, second = split_halves(ds)
+        assert (first.label, second.label) == (ds.label + "/half1", ds.label + "/half2")
         assert first.groups[1].n_bins == second.groups[1].n_bins == 1
+        for n in ds.groups:
+            rebuilt = np.hstack([first.groups[n].bins, second.groups[n].bins])
+            assert np.array_equal(rebuilt, ds.groups[n].bins)
 
     def test_odd_bins_rejected(self):
         noise = NoiseModel.depolarizing_model(0.9)

@@ -22,7 +22,11 @@ in as few batches as ``_FIT_ROWS`` allows, so Python loops over neither
 datasets nor replications.  Batching cannot change a result: every step of
 the minimizer (the objective, its gradient, the line search, the search
 direction and the rank-two update) acts on each row alone, so a row follows
-the same path whichever rows share its batch.
+the same path whichever rows share its batch.  The kernel orders its array
+passes for speed without changing a bit: its row sums add columns in
+numpy's own reduce order, its powers keep the broadcast ``p[:, None] ** n``
+layout (numpy's float64 ``power`` rounds differently in other layouts), and
+its logistic is scipy's ``expit``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ _MAX_ITER = 500
 _F_RTOL = 1e-12
 _G_TOL = 1e-12
 _ARMIJO = 1e-4
+# Backtracking steps 2**-1 .. 2**-40 (exact halvings of 1), and the trial
+# rows one backtracking call may spend on trying several halvings of a few
+# rows at once.  Most backtracks move one to eight rows, where a call costs
+# about as much for one row as for dozens.
+_HALF_STEPS = 0.5 ** np.arange(1, 41)
+_LS_TRIALS = 64
 # Creep at a box edge: a relative improvement below _CREEP_RTOL with some
 # parameter past _EDGE_U on the logit scale, that is within 3.1e-7 of a
 # bound as a fraction of its box.
@@ -76,7 +86,7 @@ _RESAMPLE_CHUNK = 64  # replications in one chunk, at most
 # larger batches are faster, while its (rows, 4, 4) inverse-Hessian
 # temporaries grow with it.  At this size a paper-scale bootstrap refit
 # (2,000 replications of 20 datasets) runs in ten batches, about a quarter
-# faster than one batch per dataset, for about 5 MiB more peak memory.
+# faster than one batch per dataset, for about 3 MiB more peak memory.
 _FIT_ROWS = 1 << 12
 
 
@@ -127,14 +137,19 @@ def decay_to_overlap(p):
 # Box transform
 
 
-def _to_params(u: np.ndarray):
-    z = expit(np.clip(u, -40.0, 40.0))
-    span = RATE_BOUNDS[1] - RATE_BOUNDS[0]
-    p_j = RATE_BOUNDS[0] + span * z[:, 0]
-    p_ref = RATE_BOUNDS[0] + span * z[:, 1]
-    scale = z[:, 2]
-    offset = z[:, 3]
-    return p_j, p_ref, scale, offset
+_RATE_SPAN = RATE_BOUNDS[1] - RATE_BOUNDS[0]
+
+
+def _box_z(u: np.ndarray) -> np.ndarray:
+    """Logistic of the unconstrained parameters, flat beyond +-40."""
+    return expit(np.clip(u, -40.0, 40.0))
+
+
+def _z_params(z: np.ndarray):
+    """(rate, reference rate, scale, offset) of a batch of ``_box_z`` rows."""
+    p_j = RATE_BOUNDS[0] + _RATE_SPAN * z[:, 0]
+    p_ref = RATE_BOUNDS[0] + _RATE_SPAN * z[:, 1]
+    return p_j, p_ref, z[:, 2], z[:, 3]
 
 
 def _to_u(p_j, p_ref, scale, offset) -> np.ndarray:
@@ -154,58 +169,72 @@ def _to_u(p_j, p_ref, scale, offset) -> np.ndarray:
 # Vectorized objective and quasi-Newton minimizer
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)``, bit for bit.  Below eight columns numpy adds a
+    row's columns in order onto 0.0, which column-wise adds repeat in a
+    fraction of the time; from eight on it sums pairwise, so defer to it."""
+    k = x.shape[1]
+    if not 0 < k < 8:
+        return x.sum(axis=1)
+    total = 0.0 + x[:, 0]
+    for j in range(1, k):
+        total += x[:, j]
+    return total
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)``: a maximum is exact in any order, so column-wise."""
+    out = x[:, 0]
+    for j in range(1, x.shape[1]):
+        out = np.maximum(out, x[:, j])
+    return out
+
+
 def _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
     """The joint objective of a batch of parameter rows and its closed-form
     gradient, both called as ``f(u, rows)``: parameter row b is fit against
-    data row ``rows[b]``, so the minimizer can compact its active set."""
-    n_o = np.asarray(n_o, dtype=np.int64)
-    n_r = np.asarray(n_r, dtype=np.int64)
-    k_o = n_o.size + (inf_o is not None)
-    k_r = n_r.size + (inf_r is not None)
+    data row ``rows[b]``, so the minimizer can compact its active set.  A
+    ``rows`` of ``slice(None)`` fits every data row in order, ungathered."""
+    curves = []
+    for n, y, inf in ((n_o, y_o, inf_o), (n_r, y_r, inf_r)):
+        n = np.asarray(n, dtype=np.int64)
+        curves.append((n, n - 1, y, inf, n.size + (inf is not None)))
 
-    def curves(u, rows):
-        """(rate, lengths, data, infinite-length data, weight) of both curves,
-        plus the shared scale and offset."""
-        io = None if inf_o is None else inf_o[rows]
-        ir = None if inf_r is None else inf_r[rows]
-        p_j, p_ref, scale, offset = _to_params(u)
-        return (
-            ((p_j, n_o, y_o[rows], io, k_o), (p_ref, n_r, y_r[rows], ir, k_r)),
-            scale,
-            offset,
-        )
-
-    def objective(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        pair, scale, offset = curves(u, rows)
+    def objective(u: np.ndarray, rows) -> np.ndarray:
+        p_j, p_ref, scale, offset = _z_params(_box_z(u))
         total = 0.0
-        for p, n, y, inf, k in pair:
+        for p, (n, _, y, inf, k) in zip((p_j, p_ref), curves):
             model = scale[:, None] * p[:, None] ** n + offset[:, None]
-            sq = ((y - model) ** 2).sum(axis=1)
+            sq = _row_sum((y[rows] - model) ** 2)
             if inf is not None:
-                sq = sq + (inf - offset) ** 2
+                sq += (inf[rows] - offset) ** 2
             total = total + sq / k
         return total
 
-    def gradient(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        pair, scale, offset = curves(u, rows)
+    def gradient(u: np.ndarray, rows) -> np.ndarray:
+        z = _box_z(u)
+        p_j, p_ref, scale, offset = _z_params(z)
         # Derivatives with respect to (rate, reference rate, scale, offset):
         # each curve's residual r_n = A p^n + B - y_n contributes
         # 2/k * sum r_n * (A n p^(n-1), p^n, 1), and an infinite-length row
-        # 2/k * (B - y_inf) to the offset.
-        grad = np.zeros_like(u)
-        for col, (p, n, y, inf, k) in enumerate(pair):
-            power = p[:, None] ** (n - 1)
-            resid = scale[:, None] * power * p[:, None] + offset[:, None] - y
-            grad[:, col] = scale * (resid * (n * power)).sum(axis=1) / k
-            grad[:, 2] += (resid * power * p[:, None]).sum(axis=1) / k
-            grad[:, 3] += resid.sum(axis=1) / k
+        # 2/k * (B - y_inf) to the offset.  The scale and offset components
+        # start from 0.0, as sums onto a zeroed gradient would.
+        grad = np.empty_like(u)
+        d_scale = d_offset = 0.0
+        for col, (p, (n, n1, y, inf, k)) in enumerate(zip((p_j, p_ref), curves)):
+            power = p[:, None] ** n1
+            resid = scale[:, None] * power * p[:, None] + offset[:, None] - y[rows]
+            grad[:, col] = scale * _row_sum(resid * (n * power)) / k
+            d_scale = d_scale + _row_sum(resid * power * p[:, None]) / k
+            d_offset = d_offset + _row_sum(resid) / k
             if inf is not None:
-                grad[:, 3] += (offset - inf) / k
+                d_offset += (offset - inf[rows]) / k
+        grad[:, 2] = d_scale
+        grad[:, 3] = d_offset
         # Chain through the logistic box transform; beyond the clip the
         # objective is flat, so those components are exactly zero.
-        z = expit(np.clip(u, -40.0, 40.0))
         jac = z * (1.0 - z)
-        jac[:, :2] *= RATE_BOUNDS[1] - RATE_BOUNDS[0]
+        jac[:, :2] *= _RATE_SPAN
         jac[np.abs(u) > 40.0] = 0.0
         return 2.0 * grad * jac
 
@@ -222,13 +251,15 @@ def _bfgs_box(fun, grad, u0: np.ndarray):
     """
     total, dim = u0.shape
     u_out = u0.copy()
+    # The open rows, in order; while every row is open they need no gather.
     idx = np.arange(total)
-    f_out = fun(u_out, idx)
+    every = slice(None)
+    f_out = fun(u_out, every)
     conv_out = np.zeros(total, dtype=bool)
 
     u = u_out.copy()
     f = f_out.copy()
-    g = grad(u, idx)
+    g = grad(u, every)
     h = np.tile(np.eye(dim), (total, 1, 1))
     # Rows whose curvature estimate was just discarded; a stall is terminal
     # only if steepest descent cannot improve either.
@@ -237,32 +268,47 @@ def _bfgs_box(fun, grad, u0: np.ndarray):
     for _ in range(_MAX_ITER):
         if idx.size == 0:
             break
-        direction = -(h @ g[:, :, None])[:, :, 0]
+        rows = every if idx.size == total else idx
+        # einsum adds the four products in matmul's order, at half its cost.
+        direction = -np.einsum("bij,bj->bi", h, g)
         slope = np.einsum("bi,bi->b", g, direction)
         bad = slope >= 0
         if bad.any():
             direction[bad] = -g[bad]
             h[bad] = np.eye(dim)
             fresh[bad] = True
-            slope[bad] = -(g[bad] ** 2).sum(axis=1)
+            slope[bad] = -_row_sum(g[bad] ** 2)
 
-        step = np.ones(idx.size)
-        trial_u = u + step[:, None] * direction
-        trial_f = fun(trial_u, idx)
-        for _ls in range(40):
-            need = (trial_f > f + _ARMIJO * step * slope) & (step > 1e-18)
-            if not need.any():
-                break
-            step[need] *= 0.5
-            trial_u[need] = u[need] + step[need, None] * direction[need]
-            trial_f[need] = fun(trial_u[need], idx[need])
+        # Backtrack only the rows still failing the Armijo test, halving the
+        # step at most 40 times.  They have all halved equally often, so they
+        # share their next steps, and a few such rows try several halvings in
+        # one call: each row keeps its first step that passes, as it would
+        # trying them one at a time.
+        trial_u = u + direction
+        trial_f = fun(trial_u, rows)
+        search = np.flatnonzero(trial_f > f + _ARMIJO * slope)
+        halvings = 0
+        while search.size and halvings < 40:
+            tries = min(max(1, _LS_TRIALS // search.size), 40 - halvings)
+            step = _HALF_STEPS[halvings : halvings + tries, None]
+            part_u = u[search] + step[:, :, None] * direction[search]
+            part_f = fun(part_u.reshape(-1, dim), np.tile(idx[search], tries))
+            part_f = part_f.reshape(tries, -1)
+            passed = ~(part_f > f[search] + _ARMIJO * step * slope[search])
+            hit = passed.any(axis=0)
+            first = np.where(hit, passed.argmax(axis=0), tries - 1)
+            cols = np.arange(search.size)
+            trial_u[search] = part_u[first, cols]
+            trial_f[search] = part_f[first, cols]
+            search = search[~hit]
+            halvings += tries
 
         improved = trial_f <= f
         stalled = ~improved
         trial_u[stalled] = u[stalled]
         trial_f[stalled] = f[stalled]
 
-        new_g = grad(trial_u, idx)
+        new_g = grad(trial_u, rows)
         s = trial_u - u
         y = new_g - g
         sy = np.einsum("bi,bi->b", s, y)
@@ -276,25 +322,34 @@ def _bfgs_box(fun, grad, u0: np.ndarray):
                 yy = np.einsum("bi,bi->b", y, y)
                 gamma = np.where(rescale & (yy > 0), sy / np.maximum(yy, 1e-300), 1.0)
                 h[rescale] *= gamma[rescale, None, None]
-            # (I - rho s y^T) H (I - rho y s^T) + rho s s^T as a rank-two update.
-            hu, su = h[update], s[update]
-            rho = 1.0 / sy[update]
-            hy = (hu @ y[update][:, :, None])[:, :, 0]
-            yhy = np.einsum("bi,bi->b", y[update], hy)
-            coef = rho * (1.0 + rho * yhy)
-            hu -= rho[:, None, None] * (
-                su[:, :, None] * hy[:, None, :] + hy[:, :, None] * su[:, None, :]
-            )
-            hu += coef[:, None, None] * su[:, :, None] * su[:, None, :]
-            h[update] = hu
+            # (I - rho s y^T) H (I - rho y s^T) + rho s s^T as a rank-two
+            # update; H is symmetric, so s (Hy)^T + (Hy) s^T is one outer
+            # product plus its transpose.  The products are elementwise, so
+            # they are formed with the batch axis last, where numpy's loops
+            # run long.  Every row updating updates in place.
+            every_row = update.all()
+            if every_row:
+                hu, su, yu, syu = h, s, y, sy
+            else:
+                hu, su, yu, syu = h[update], s[update], y[update], sy[update]
+            rho = 1.0 / syu
+            hy = np.einsum("bij,bj->bi", hu, yu)
+            coef = rho * (1.0 + rho * np.einsum("bi,bi->b", yu, hy))
+            s_t = su.T.copy()
+            outer = s_t[:, None, :] * hy.T[None, :, :]
+            hu -= (rho * (outer + outer.transpose(1, 0, 2))).transpose(2, 0, 1)
+            hu += ((coef * s_t)[:, None, :] * s_t[None, :, :]).transpose(2, 0, 1)
+            if not every_row:
+                h[update] = hu
             fresh[update] = False
 
         delta = np.abs(f - trial_f)
+        f_abs = np.abs(trial_f)
         done = stalled & fresh
         # Relative objective change; the floor only matters when the data are
         # noiseless and the objective reaches an exact zero.
-        done |= improved & (delta <= _F_RTOL * np.abs(trial_f) + 1e-30)
-        done |= np.abs(new_g).max(axis=1) < _G_TOL
+        done |= improved & (delta <= _F_RTOL * f_abs + 1e-30)
+        done |= _row_max(np.abs(new_g)) < _G_TOL
         retry = stalled & ~fresh & ~done
         # A row creeping toward a box edge (deep in the logistic tail) gains
         # almost nothing per step and would run out of iterations before
@@ -303,8 +358,8 @@ def _bfgs_box(fun, grad, u0: np.ndarray):
         retry |= (
             improved
             & ~done
-            & (delta < _CREEP_RTOL * np.abs(trial_f))
-            & (np.abs(trial_u).max(axis=1) > _EDGE_U)
+            & (delta < _CREEP_RTOL * f_abs)
+            & (_row_max(np.abs(trial_u)) > _EDGE_U)
         )
         if retry.any():
             h[retry] = np.eye(dim)
@@ -336,7 +391,7 @@ def _fit_many(n_o, y_o, inf_o, n_r, y_r, inf_r, u0):
     """Solve one fit per row of ``u0`` against per-row data arrays."""
     fun, grad = _objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r)
     u, f, converged = _bfgs_box(fun, grad, u0)
-    p_j, p_ref, scale, offset = _to_params(u)
+    p_j, p_ref, scale, offset = _z_params(_box_z(u))
     return {
         "rate": p_j,
         "ref_rate": p_ref,

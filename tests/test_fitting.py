@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rbtlab import fitting
 from rbtlab.channels import NoiseModel, SpamModel
@@ -125,6 +126,169 @@ def looped_experiment_bootstrap(exp, replications, seed):
             nonconverged[col] = np.count_nonzero(~res["converged"])
         out.append((fits, rates, ref_rates, nonconverged))
     return out
+
+
+# The minimizer kernel as it was before its column-wise rewrite, kept
+# verbatim as an oracle: the rewrite changes the order of array passes but
+# no arithmetic, so it must match this bit for bit.
+
+
+def frozen_to_params(u):
+    z = expit(np.clip(u, -40.0, 40.0))
+    span = RATE_BOUNDS[1] - RATE_BOUNDS[0]
+    p_j = RATE_BOUNDS[0] + span * z[:, 0]
+    p_ref = RATE_BOUNDS[0] + span * z[:, 1]
+    scale = z[:, 2]
+    offset = z[:, 3]
+    return p_j, p_ref, scale, offset
+
+
+def frozen_objective_factory(n_o, y_o, inf_o, n_r, y_r, inf_r):
+    n_o = np.asarray(n_o, dtype=np.int64)
+    n_r = np.asarray(n_r, dtype=np.int64)
+    k_o = n_o.size + (inf_o is not None)
+    k_r = n_r.size + (inf_r is not None)
+
+    def curves(u, rows):
+        io = None if inf_o is None else inf_o[rows]
+        ir = None if inf_r is None else inf_r[rows]
+        p_j, p_ref, scale, offset = frozen_to_params(u)
+        return (
+            ((p_j, n_o, y_o[rows], io, k_o), (p_ref, n_r, y_r[rows], ir, k_r)),
+            scale,
+            offset,
+        )
+
+    def objective(u, rows):
+        pair, scale, offset = curves(u, rows)
+        total = 0.0
+        for p, n, y, inf, k in pair:
+            model = scale[:, None] * p[:, None] ** n + offset[:, None]
+            sq = ((y - model) ** 2).sum(axis=1)
+            if inf is not None:
+                sq = sq + (inf - offset) ** 2
+            total = total + sq / k
+        return total
+
+    def gradient(u, rows):
+        pair, scale, offset = curves(u, rows)
+        grad = np.zeros_like(u)
+        for col, (p, n, y, inf, k) in enumerate(pair):
+            power = p[:, None] ** (n - 1)
+            resid = scale[:, None] * power * p[:, None] + offset[:, None] - y
+            grad[:, col] = scale * (resid * (n * power)).sum(axis=1) / k
+            grad[:, 2] += (resid * power * p[:, None]).sum(axis=1) / k
+            grad[:, 3] += resid.sum(axis=1) / k
+            if inf is not None:
+                grad[:, 3] += (offset - inf) / k
+        z = expit(np.clip(u, -40.0, 40.0))
+        jac = z * (1.0 - z)
+        jac[:, :2] *= RATE_BOUNDS[1] - RATE_BOUNDS[0]
+        jac[np.abs(u) > 40.0] = 0.0
+        return 2.0 * grad * jac
+
+    return objective, gradient
+
+
+def frozen_bfgs_box(fun, grad, u0):
+    total, dim = u0.shape
+    u_out = u0.copy()
+    idx = np.arange(total)
+    f_out = fun(u_out, idx)
+    conv_out = np.zeros(total, dtype=bool)
+
+    u = u_out.copy()
+    f = f_out.copy()
+    g = grad(u, idx)
+    h = np.tile(np.eye(dim), (total, 1, 1))
+    fresh = np.ones(idx.size, dtype=bool)
+
+    for _ in range(fitting._MAX_ITER):
+        if idx.size == 0:
+            break
+        direction = -(h @ g[:, :, None])[:, :, 0]
+        slope = np.einsum("bi,bi->b", g, direction)
+        bad = slope >= 0
+        if bad.any():
+            direction[bad] = -g[bad]
+            h[bad] = np.eye(dim)
+            fresh[bad] = True
+            slope[bad] = -(g[bad] ** 2).sum(axis=1)
+
+        step = np.ones(idx.size)
+        trial_u = u + step[:, None] * direction
+        trial_f = fun(trial_u, idx)
+        for _ls in range(40):
+            need = (trial_f > f + fitting._ARMIJO * step * slope) & (step > 1e-18)
+            if not need.any():
+                break
+            step[need] *= 0.5
+            trial_u[need] = u[need] + step[need, None] * direction[need]
+            trial_f[need] = fun(trial_u[need], idx[need])
+
+        improved = trial_f <= f
+        stalled = ~improved
+        trial_u[stalled] = u[stalled]
+        trial_f[stalled] = f[stalled]
+
+        new_g = grad(trial_u, idx)
+        s = trial_u - u
+        y = new_g - g
+        sy = np.einsum("bi,bi->b", s, y)
+        update = improved & (sy > 1e-18)
+        if update.any():
+            rescale = update & fresh
+            if rescale.any():
+                yy = np.einsum("bi,bi->b", y, y)
+                gamma = np.where(rescale & (yy > 0), sy / np.maximum(yy, 1e-300), 1.0)
+                h[rescale] *= gamma[rescale, None, None]
+            hu, su = h[update], s[update]
+            rho = 1.0 / sy[update]
+            hy = (hu @ y[update][:, :, None])[:, :, 0]
+            yhy = np.einsum("bi,bi->b", y[update], hy)
+            coef = rho * (1.0 + rho * yhy)
+            hu -= rho[:, None, None] * (
+                su[:, :, None] * hy[:, None, :] + hy[:, :, None] * su[:, None, :]
+            )
+            hu += coef[:, None, None] * su[:, :, None] * su[:, None, :]
+            h[update] = hu
+            fresh[update] = False
+
+        delta = np.abs(f - trial_f)
+        done = stalled & fresh
+        done |= improved & (delta <= fitting._F_RTOL * np.abs(trial_f) + 1e-30)
+        done |= np.abs(new_g).max(axis=1) < fitting._G_TOL
+        retry = stalled & ~fresh & ~done
+        retry |= (
+            improved
+            & ~done
+            & (delta < fitting._CREEP_RTOL * np.abs(trial_f))
+            & (np.abs(trial_u).max(axis=1) > fitting._EDGE_U)
+        )
+        if retry.any():
+            h[retry] = np.eye(dim)
+            fresh[retry] = True
+
+        u, f, g = trial_u, trial_f, new_g
+        if done.any():
+            sel = idx[done]
+            u_out[sel] = u[done]
+            f_out[sel] = f[done]
+            conv_out[sel] = True
+            keep = ~done
+            idx, u, f, g, h, fresh = (
+                idx[keep],
+                u[keep],
+                f[keep],
+                g[keep],
+                h[keep],
+                fresh[keep],
+            )
+
+    if idx.size:
+        u_out[idx] = u
+        f_out[idx] = f
+    return u_out, f_out, conv_out
 
 
 class TestPronySeed:
@@ -476,3 +640,82 @@ class TestBatchInvariance:
         ]:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class TestKernelOracle:
+    """The minimizer kernel equals the frozen oracle above bit for bit: the
+    objective, its gradient, and ``(u, f, converged)`` of a whole batch."""
+
+    ROWS = 24
+
+    def problem(self, rng, lengths, with_inf, noiseless):
+        n = np.arange(1, lengths + 1)
+        u_true = rng.normal(0.0, 1.5, size=(self.ROWS, 4))
+        if noiseless:
+            # Data on the model as the gradient evaluates it, at even
+            # lengths: the gradient's residuals at u_true are exact zeros,
+            # so for a negative rate every product with an odd power is
+            # -0.0 and a row sum of them must come out +0.0.
+            n = 2 * n
+            p_j, p_ref, scale, offset = frozen_to_params(u_true)
+            y_o, y_r = (
+                scale[:, None] * p[:, None] ** (n - 1) * p[:, None] + offset[:, None]
+                for p in (p_j, p_ref)
+            )
+            inf_o, inf_r = offset.copy(), offset.copy()
+        else:
+            y_o = rng.uniform(0.3, 0.9, size=(self.ROWS, lengths))
+            y_r = rng.uniform(0.3, 0.9, size=(self.ROWS, lengths))
+            inf_o = rng.uniform(0.4, 0.6, size=self.ROWS)
+            inf_r = rng.uniform(0.4, 0.6, size=self.ROWS)
+        if not with_inf:
+            inf_o = inf_r = None
+        data = (n, y_o, inf_o, n, y_r, inf_r)
+        u0 = u_true + rng.normal(0.0, 0.5, size=u_true.shape)
+        # Starts beyond the +-40 clip, where the objective is flat.
+        u0[0, 0], u0[1, 3], u0[2, 2], u0[3, 1] = 45.0, -50.0, 40.5, -41.0
+        return data, u_true, u0
+
+    CASES = pytest.mark.parametrize(
+        "lengths,with_inf,noiseless",
+        [
+            (lengths, with_inf, noiseless)
+            for lengths in range(1, 10)
+            for with_inf in (False, True)
+            for noiseless in (False, True)
+        ],
+    )
+
+    @CASES
+    def test_objective_and_gradient(self, rng, lengths, with_inf, noiseless):
+        data, u_true, u0 = self.problem(rng, lengths, with_inf, noiseless)
+        fun, grad = fitting._objective_factory(*data)
+        old_fun, old_grad = frozen_objective_factory(*data)
+        every = np.arange(self.ROWS)
+        compacted = np.sort(rng.choice(self.ROWS, size=9, replace=False))
+        shuffled = rng.permutation(self.ROWS)[:11]
+        for u in (u_true, u0):
+            for rows in (every, compacted, shuffled):
+                for new, old in ((fun, old_fun), (grad, old_grad)):
+                    assert new(u[rows], rows).tobytes() == old(u[rows], rows).tobytes()
+            for new, old in ((fun, old_fun), (grad, old_grad)):
+                assert new(u, slice(None)).tobytes() == old(u, every).tobytes()
+
+    @CASES
+    def test_bfgs(self, rng, lengths, with_inf, noiseless):
+        data, _, u0 = self.problem(rng, lengths, with_inf, noiseless)
+        got = fitting._bfgs_box(*fitting._objective_factory(*data), u0)
+        want = frozen_bfgs_box(*frozen_objective_factory(*data), u0)
+        for name, g, w in zip(("u", "f", "converged"), got, want):
+            assert g.tobytes() == w.tobytes(), name
+
+    def test_einsum_adds_as_matmul(self, rng):
+        # The kernel's inverse-Hessian products use einsum in place of the
+        # oracle's matmul; both must add the four products in one order.
+        rows = 20_000
+        h = rng.normal(size=(rows, 4, 4)) * 10.0 ** rng.integers(-12, 12, size=(rows, 4, 4))
+        g = rng.normal(size=(rows, 4)) * 10.0 ** rng.integers(-12, 12, size=(rows, 4))
+        zeros = rng.integers(0, 6, size=h.shape)
+        h[zeros == 0], h[zeros == 1] = -0.0, 0.0
+        want = (h @ g[:, :, None])[:, :, 0]
+        assert np.einsum("bij,bj->bi", h, g).tobytes() == want.tobytes()

@@ -12,14 +12,18 @@ directory; no other command takes the flag) and call their stage function:
 refitting.  ``pipeline`` calls the same stage functions in order and hands
 the simulated ``Experiment`` and the bootstrap over in memory.
 
-``dataset.csv`` is read in byte blocks cut after whole rows.  A block spelled
-as the writer spells it is checked and converted with numpy over its raw
-bytes; from the first block that is not, the rest of the file is read line by
-line, which accepts other valid spellings and names the faulty line.  Row
-``k`` of the file must be row ``k`` of the design the configuration implies,
-built from the same sequence sets as ``sequences.json``, so a missing, extra,
-reordered or renamed row is rejected with its line.  The same pass hashes the
-bytes, and ``fit`` stamps ``bootstrap.npz`` with that digest.
+``dataset.csv`` is written and read through one rendering: each row's
+``role,j,n,tuple_id,`` prefix before each of its tails ``bin_id,mean`` + line
+end.  It is read in byte blocks cut after whole rows; a block is accepted when
+rendering the design's rows with the block's own mean texts, and the line end
+that follows the header (CRLF or LF), reproduces its bytes, and its means are
+then converted with numpy.  From the first block that is not, the rest of the
+file is read line by line, which accepts other valid spellings and names the
+faulty line.  Row ``k`` of the file must be row ``k`` of the design the
+configuration implies, built from the same sequence sets as
+``sequences.json``, so a missing, extra, reordered or renamed row is rejected
+with its line.  The same pass hashes the bytes, and ``fit`` stamps
+``bootstrap.npz`` with that digest.
 Exit codes: 0 success, 2 configuration or artifact schema error, 3 numerical
 failure (including an ill-conditioned null-operation estimate), 4 I/O error.
 """
@@ -168,59 +172,101 @@ def _write_sequences_json(path: Path, cfg: RunConfig) -> None:
         f.write(f'\n ],\n "seed": {json.dumps(cfg.seed)}\n}}\n')
 
 
-def _write_bin_lines(f, prefixes: list, bins: np.ndarray) -> None:
-    """Write ``prefix + "bin_id,repr(mean)"`` for every bin of every row.
+_BLOCK_BYTES = 1 << 18  # dataset.csv is read in blocks of about this size
+_EOLS = {",".join(DATASET_HEADER).encode() + eol: eol for eol in (b"\r\n", b"\n")}
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MEAN_CHARS = b"0123456789.eE+-"
+# Odd multipliers that spread the words of a mean text's key, and keys over slots.
+_KEY_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
+_SLOT_BITS = 12  # _Tails slots: 4,096, against the 101 means of 100-shot bins
+_PAD = bytes(24)  # room to read three 8-byte words of the last mean text
 
-    Bin means are ``k / bin_size``, so a group holds few distinct
-    (bin id, mean) pairs; each pair's text is formatted once.  Means are
-    told apart by bit pattern, so ``-0.0`` keeps its own ``repr``.
-    """
-    nb = bins.shape[1]
-    bits, value_index = np.unique(
-        np.ascontiguousarray(bins, dtype=float).view(np.int64), return_inverse=True
-    )
-    values = bits.view(float).tolist()
-    pairs, pair_index = np.unique(
-        value_index.reshape(bins.shape) * nb + np.arange(nb), return_inverse=True
-    )
-    tails = np.array(
-        [f"{code % nb},{values[code // nb]!r}\r\n" for code in pairs.tolist()],
-        dtype=object,
-    )
-    for prefix, row in zip(prefixes, tails[pair_index.reshape(bins.shape)].tolist()):
-        f.write(prefix + prefix.join(row))
+
+def _slots(key: np.ndarray) -> np.ndarray:
+    return (key * _KEY_MIX[0]) >> np.uint64(64 - _SLOT_BITS)
+
+
+class _Tails:
+    """Each distinct mean's tails ``bin_id,mean`` + line end, one per bin id
+    of a row, formatted once per file.  A mean is known by a 64-bit key: its
+    bit pattern when writing, its text's length and first bytes when reading.
+    :meth:`find` looks keys up in a table of 2**_SLOT_BITS slots, one key per
+    slot, and in ``rows`` for a key whose slot another key holds."""
+
+    def __init__(self, nb: int, eol: bytes):
+        self.nb, self.eol, self.rows = nb, eol, {}
+        self.table = np.empty((0, nb), dtype=object)
+        self.slot_key = np.zeros(1 << _SLOT_BITS, np.uint64)
+        self.slot_row = np.full(1 << _SLOT_BITS, -1)
+
+    def find(self, key: np.ndarray, spell):
+        """The table row of each key.  For keys not in the table yet,
+        ``spell(lines)`` gives the mean texts of ``key[lines]``, one line per
+        new key, or None to give up, and then ``find`` returns None."""
+        slot = _slots(key)
+        ids = np.where(self.slot_key[slot] == key, self.slot_row[slot], -1)
+        miss = np.flatnonzero(ids < 0)
+        if len(miss):
+            keys, first, inverse = np.unique(key[miss], return_index=True, return_inverse=True)
+            found = np.array([self.rows.get(k, -1) for k in keys.tolist()])
+            new = found < 0
+            if new.any():
+                texts = spell(miss[first[new]])
+                if texts is None:
+                    return None
+                found[new] = self._add(keys[new], texts)
+            ids[miss] = found[inverse]
+        return ids
+
+    def _add(self, keys: np.ndarray, texts) -> np.ndarray:
+        rows = np.arange(len(self.rows), len(self.rows) + len(keys))
+        self.rows.update(zip(keys.tolist(), rows.tolist()))
+        for slot, key, row in zip(_slots(keys), keys, rows):
+            if self.slot_row[slot] < 0:
+                self.slot_key[slot], self.slot_row[slot] = key, row
+        new = [[b"%d,%s%s" % (b, text, self.eol) for b in range(self.nb)] for text in texts]
+        self.table = np.concatenate([self.table, np.array(new, dtype=object).reshape(-1, self.nb)])
+        return rows
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The tails of whole rows of lines, line ``i`` (bin ``i % nb``)
+        spelling the mean of table row ``rows[i]``."""
+        return self.table.take(rows.reshape(-1, self.nb) * self.nb + np.arange(self.nb))
+
+
+def _render(prefixes: list, tails) -> bytes:
+    """dataset.csv rows, ``prefix + prefix.join(row)`` for each row's prefix
+    ``role,j,n,tuple_id,`` and row of tails ``bin_id,mean`` + line end."""
+    return b"".join([prefix + prefix.join(row) for prefix, row in zip(prefixes, tails)])
+
+
+def _write_bin_lines(f, prefixes: list, bins: np.ndarray, tails: _Tails) -> None:
+    """Write the :func:`_render` rows of ``bins``, about 64 rows per write,
+    each mean spelled ``repr(mean)``.  ``tails`` tells means apart by bit
+    pattern, so ``-0.0`` keeps its own ``repr``."""
+    key = np.ascontiguousarray(bins, dtype=float).view(np.uint64).ravel()
+    ids = tails.find(key, lambda lines: [repr(m).encode() for m in key[lines].view(float).tolist()])
+    row_tails = tails.take(ids)
+    for i in range(0, len(prefixes), 64):
+        f.write(_render(prefixes[i : i + 64], row_tails[i : i + 64].tolist()))
 
 
 def _write_dataset_csv(path: Path, exp: Experiment, qpt: QptDataset | None) -> None:
     """One line per bin: the decay datasets in layout order, each by length,
     then the tomography rows (see README, "``dataset.csv`` format")."""
-    with path.open("w", newline="") as f:
-        csv.writer(f).writerow(DATASET_HEADER)
+    tails = _Tails(exp.reference.shots // exp.reference.bin_size, b"\r\n")
+    with path.open("wb") as f:
+        f.write(",".join(DATASET_HEADER).encode() + b"\r\n")
         for (_role, j), ds in exp.decays.items():
             for n in ds.lengths():
                 grp = ds.groups[n]
-                fields = (ds.label, _j_text(j), _format_length(n))
-                prefixes = [",".join((*fields, rid, "")) for rid in grp.row_ids]
-                _write_bin_lines(f, prefixes, grp.bins)
+                head = f"{ds.label},{_j_text(j)},{_format_length(n)},"
+                prefixes = [f"{head}{rid},".encode() for rid in grp.row_ids]
+                _write_bin_lines(f, prefixes, grp.bins, tails)
         if qpt is not None:
-            rows = range(qpt.bins.shape[0])
-            prefixes = [",".join(("qpt", str(r), "1", f"row{r}", "")) for r in rows]
-            _write_bin_lines(f, prefixes, qpt.bins)
-
-
-# dataset.csv is parsed in blocks of about _BLOCK_BYTES, each cut after its
-# last whole row.  A block whose every line is "prefix,bin_id,mean" as the
-# writer spells it is checked and converted with numpy (_block_rows); from the
-# first block that is not, the rest of the file is read line by line.
-_BLOCK_BYTES = 1 << 18
-_HEADER_LINES = {",".join(DATASET_HEADER).encode() + end for end in (b"\r\n", b"\n")}
-_LINE_DELIMITERS = np.frombuffer(b",,,,,\n", np.uint8)
-# _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-_MEAN_CHARS = b"0123456789.eE+-"
-_MEAN_WIDTH = 23  # the longest repr of a float in [0, 1]
-_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
-_PAD = bytes(32)  # room to read every 8-byte word of the last line in place
+            prefixes = [f"qpt,{r},1,row{r},".encode() for r in range(qpt.bins.shape[0])]
+            _write_bin_lines(f, prefixes, qpt.bins, tails)
 
 
 def _line_runs(lines, first: int, where):
@@ -256,14 +302,6 @@ def _bin_id_texts(nb: int) -> tuple:
     return tuple(str(b) for b in range(nb))
 
 
-@lru_cache(maxsize=None)
-def _bin_id_codes(nb: int):
-    """Byte length and little-endian value of the text of each bin id."""
-    texts = [str(b).encode() for b in range(nb)]
-    lengths = np.array([len(t) for t in texts])
-    return lengths, np.array([int.from_bytes(t, "little") for t in texts], dtype=np.uint64)
-
-
 def _row_means(bin_texts, mean_texts, start, where) -> np.ndarray:
     """One row's bin means.  Its bin ids must run 0, 1, 2, ... and every mean
     must parse and lie in [0, 1]; otherwise the first faulty line is named.
@@ -290,113 +328,96 @@ def _row_means(bin_texts, mean_texts, start, where) -> np.ndarray:
     return np.array(mean_texts, dtype=float)
 
 
-def _row_blocks(f, nb: int, digest):
-    """Yield ``(block, line count)`` for the rest of ``f``: blocks of about
-    _BLOCK_BYTES cut after a whole number of ``nb``-line rows, the partial row
-    carried into the next block, then whatever the file ends with, given a
-    line end if it lacks one.  Every byte read also goes to ``digest``."""
-    pending, lines = [], 0
+def _blocks(f, nb: int, eol: bytes, digest):
+    """Yield ``(block, newline offsets)`` for the rest of ``f``: blocks of
+    about _BLOCK_BYTES cut after a whole number of ``nb``-line rows, the
+    partial row carried into the next block, then whatever the file ends
+    with, given the line end ``eol`` if it lacks one.  Every byte read also
+    goes to ``digest``."""
+    pending, newlines, size = [], [], 0
     for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
         digest.update(chunk)
+        newlines.append(np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + size)
         pending.append(chunk)
-        lines += chunk.count(b"\n")
+        size += len(chunk)
+        lines = sum(map(len, newlines))
         if lines >= nb:
-            data = b"".join(pending)
-            cut = len(data)
-            for _ in range(lines % nb + 1):
-                cut = data.rfind(b"\n", 0, cut)
-            yield data[: cut + 1], lines - lines % nb
-            pending, lines = [data[cut + 1 :]], lines % nb
+            data, nl = b"".join(pending), np.concatenate(newlines)
+            cut = int(nl[lines - lines % nb - 1]) + 1
+            yield data[:cut], nl[: lines - lines % nb]
+            pending, newlines, size = [data[cut:]], [nl[lines - lines % nb :] - cut], len(data) - cut
     tail = b"".join(pending)
     if tail and not tail.endswith(b"\n"):
-        tail, lines = tail + b"\n", lines + 1
+        tail += eol
     if tail:
-        yield tail, lines
+        yield tail, np.flatnonzero(np.frombuffer(tail, np.uint8) == 10)
 
 
-def _block_rows(block: bytes, n_lines: int, nb: int, prev, floats: dict):
-    """``(prefixes, means)`` of the ``n_lines // nb`` rows of ``block``, or
-    None unless every check passes.
+def _read_blocks(f, eol, prefixes: list, bins: np.ndarray, max_texts: int, digest):
+    """Fill ``bins`` from the blocks of dataset.csv after its header that the
+    writer's rendering reproduces, feeding the bytes read to ``digest``.
+    ``eol`` is the line end of a header spelled as the writer's, else None.
 
-    Each line must have exactly five commas and end in LF or CRLF.  Each row's
-    ``nb`` lines must share one ASCII prefix (the text before the fourth
-    comma) without CR, different from the row before (``prev`` for the first
-    row).  Bin ids must be spelled 0, 1, 2, ...  Every mean text must be at
-    most _MEAN_WIDTH of ``0-9.eE+-`` that ``np.array(texts, dtype=float)``
-    converts to a number in [0, 1]; ``floats`` caches that conversion per
-    distinct text.  Such a block reads exactly as it does line by line.
+    A block of whole rows is accepted when :func:`_render` of the design's
+    next rows (``prefixes``, each with its trailing comma) reproduces it
+    exactly, every line's mean spelled by the text the line holds where the
+    prefix and bin id end: at most ``max_texts`` distinct texts of
+    ``0-9.eE+-`` that ``np.array(texts, dtype=float)`` converts to numbers in
+    [0, 1], and ``eol`` ending every line.  Such a block reads exactly as it
+    does line by line.  Returns ``(k, done)``: ``done`` when every block was
+    accepted, with ``k`` rows filled; else ``k`` is the row to read line by
+    line from, the last row of the last accepted block, whose run of lines
+    may go on in the next block.
     """
-    if n_lines % nb or nb > 10**8:  # _LOW_BYTES spells bin ids of up to 8 digits
-        return None
-    rows = n_lines // nb
-    buf = np.frombuffer(block + _PAD, np.uint8)
-    delims = np.flatnonzero((buf == 44) | (buf == 10))[: 6 * n_lines]
-    if len(delims) != 6 * n_lines:
-        return None
-    delims = delims.reshape(n_lines, 6)
-    if not (buf[delims] == _LINE_DELIMITERS).all():
-        return None
-    c2, c1, ends = delims[:, 3], delims[:, 4], delims[:, 5]
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    mean_len = ends - (buf[ends - 1] == 13) - c1 - 1
-    bin_len = c1 - c2 - 1
-    prefix_len = (c2 - starts).reshape(rows, nb)
-    id_len, id_code = _bin_id_codes(nb)
-    width = int(mean_len.max())
-    if (
-        mean_len.min() < 1
-        or width > _MEAN_WIDTH
-        or not (prefix_len == prefix_len[:, :1]).all()
-        or not (bin_len.reshape(rows, nb) == id_len).all()
-    ):
-        return None
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    if not ((words[c2 + 1] & _LOW_BYTES[bin_len]).reshape(rows, nb) == id_code).all():
-        return None
-    # One key per mean text: its 8-byte words, the last also holding the
-    # length, mixed into one integer; a collision fails the block.
-    parts = [
-        words[c1 + 1 + 8 * i] & _LOW_BYTES[np.clip(mean_len - 8 * i, 0, 8)]
-        for i in range(width // 8 + 1)
-    ]
-    parts[-1] |= mean_len.astype(np.uint64) << np.uint64(56)
-    key = parts[0]
-    for part in parts[1:]:
-        key = key * _KEY_MIX + part
-    distinct, inverse = np.unique(key, return_inverse=True)
-    first = np.empty(len(distinct), np.intp)  # one line per distinct key
-    first[inverse] = np.arange(n_lines)
-    if len(parts) > 1 and any((part[first][inverse] != part).any() for part in parts):
-        return None
-    texts = [
-        block[s : s + n] for s, n in zip((c1[first] + 1).tolist(), mean_len[first].tolist())
-    ]
-    new = [t for t in texts if t not in floats]
-    if new:
-        if any(t.translate(None, _MEAN_CHARS) for t in new):
+    if eol is None:
+        return 0, False
+    nb = bins.shape[1]
+    tails = _Tails(nb, eol)
+    means = np.empty(0)  # the value of each table row's mean text
+    id_width = np.array([len(str(b)) + 1 for b in range(nb)])
+
+    def spell(block, first, length, lines):
+        nonlocal means
+        texts = [block[s : s + n] for s, n in zip(first[lines].tolist(), length[lines].tolist())]
+        if len(means) + len(texts) > max_texts or any(t.translate(None, _MEAN_CHARS) for t in texts):
             return None
         try:
-            values = np.array([t.decode() for t in new], dtype=float)
+            values = np.array([t.decode() for t in texts], dtype=float)
         except ValueError:
             return None
         if not np.all((values >= 0.0) & (values <= 1.0)):
             return None
-        floats.update(zip(new, values.tolist()))
-    means = np.array([floats[t] for t in texts])[inverse].reshape(rows, nb)
-    prefixes = []
-    for s, e, first_end, last_end in zip(
-        starts[::nb].tolist(), c2[::nb].tolist(), ends[::nb].tolist(), ends[nb - 1 :: nb].tolist()
-    ):
-        prefix = block[s:e]
-        text = prefix.decode() if prefix.isascii() and b"\r" not in prefix else None
-        if text is None or text == prev:
-            return None
-        # Every later line of the row starts with the prefix and a comma.
-        if block.count(b"\n" + prefix + b",", first_end, last_end) != nb - 1:
-            return None
-        prefixes.append(text)
-        prev = text
-    return prefixes, means
+        means = np.concatenate([means, values])
+        return texts
+
+    k = 0
+    for block, nl in _blocks(f, nb, eol, digest):
+        rows = len(nl) // nb
+        if len(nl) % nb or k + rows > len(prefixes):
+            break
+        buf = np.frombuffer(block + _PAD, np.uint8)
+        starts = np.concatenate(([0], nl[:-1] + 1)).reshape(rows, nb)
+        encoded = [f"{prefix},".encode() for prefix in prefixes[k : k + rows]]
+        plen = np.array([len(prefix) for prefix in encoded])
+        first = (starts + plen[:, None] + id_width).ravel()
+        length = nl + 1 - len(eol) - first
+        if length.min() < 1:
+            break
+        # One key per mean text, from its length and first three 8-byte
+        # words (a word past the text adds nothing, so a text has one key in
+        # every block); texts that share a key fail the rendering below.
+        words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+        key = length.astype(np.uint64)
+        for i in range(min(3, (int(length.max()) + 7) // 8)):
+            key ^= (words[first + 8 * i] & _LOW_BYTES[np.clip(length - 8 * i, 0, 8)]) * _KEY_MIX[i]
+        ids = tails.find(key, partial(spell, block, first, length))
+        if ids is None or _render(encoded, tails.take(ids).tolist()) != block:
+            break
+        bins[k : k + rows] = means[ids].reshape(rows, nb)
+        k += rows
+    else:
+        return k, True
+    return max(k - 1, 0), False
 
 
 def _text_rows(path: Path, first: int, where):
@@ -408,41 +429,6 @@ def _text_rows(path: Path, first: int, where):
             raise ConfigError(f"unexpected header {header}", path=where(1))
         yield from _line_runs(itertools.islice(f, first - 2, None), first, where)
 
-
-def _dataset_rows(path: Path, nb: int, digest, where):
-    """Yield ``(first line number, prefix, means)`` for each run of lines of
-    dataset.csv that share the text before their last two fields, in file
-    order, and feed the file's bytes to ``digest``.
-
-    Blocks that pass :func:`_block_rows` give ``means`` as checked floats.
-    From the first block that does not, or a header other than the writer's,
-    the rest of the file is read line by line and ``means`` is the (bin texts,
-    mean texts) pair for :func:`_row_means`.  A block's last row is held back
-    until the next block shows that its run ends there, so the line-by-line
-    reading can start with it.
-    """
-    floats: dict = {}
-    held, lineno = None, 2
-    with path.open("rb") as f:
-        header = f.readline()
-        digest.update(header)
-        if header in _HEADER_LINES:
-            for block, n_lines in _row_blocks(f, nb, digest):
-                parsed = _block_rows(block, n_lines, nb, held[1] if held else None, floats)
-                if parsed is None:
-                    break
-                rows = [(lineno + r * nb, *row) for r, row in enumerate(zip(*parsed))]
-                if held:
-                    yield held
-                yield from rows[:-1]
-                held, lineno = rows[-1], lineno + n_lines
-            else:
-                if held:
-                    yield held
-                return
-        for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
-            digest.update(chunk)
-    yield from _text_rows(path, held[0] if held else lineno, where)
 
 
 def _check_prefix(prefix: str, want, where: str) -> None:
@@ -473,9 +459,12 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
     rows by length (``inf`` last) in sequence order, then the 12 tomography
     rows when QPT is on for a target with null data.  Every length group and
     the tomography data view their rows of one array.  Row ``k`` of the file
-    (a run of lines sharing one ``role,j,n,tuple_id`` prefix, read in blocks
-    by :func:`_dataset_rows`) must be row ``k`` of the design, and its bin
-    means fill row ``k`` of that array.  A wrong header or field count, an
+    (a run of lines sharing one ``role,j,n,tuple_id`` prefix) must be row
+    ``k`` of the design, and its bin means fill row ``k`` of that array.
+    :func:`_read_blocks` takes every block of the file that the writer's
+    rendering of the design's rows, with the file's own mean texts and the
+    header's line end (CRLF or LF), reproduces; the rest is read line by
+    line.  A wrong header or field count, an
     unparsable number, a mean outside [0, 1], bin ids other than 0, 1, 2, ...
     in order, a bin count other than the configuration's ``shots //
     bin_size``, or a row other than the design's raises a ConfigError naming
@@ -520,20 +509,25 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
         prefixes += [f"qpt,{r},1,row{r}" for r in range(n_qpt)]
 
     digest = hashlib.sha256()
-    k = 0
-    for start, prefix, means in _dataset_rows(path, n_bins, digest, where):
-        want = prefixes[k] if k < len(prefixes) else None
-        if prefix != want:
-            _check_prefix(prefix, want, where(start))
-        if isinstance(means, tuple):
-            means = _row_means(*means, start, where)
-        if len(means) != n_bins:
-            raise ConfigError(
-                f"{len(means)} bins where shots // bin_size is {n_bins}",
-                path=where(start),
-            )
-        bins[k] = means
-        k += 1
+    with path.open("rb") as f:
+        header = f.readline()
+        digest.update(header)
+        k, done = _read_blocks(f, _EOLS.get(header), prefixes, bins, cfg.raw["bin_size"] + 1, digest)
+        for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
+            digest.update(chunk)
+    if not done:
+        for start, prefix, texts in _text_rows(path, 2 + k * n_bins, where):
+            want = prefixes[k] if k < len(prefixes) else None
+            if prefix != want:
+                _check_prefix(prefix, want, where(start))
+            means = _row_means(*texts, start, where)
+            if len(means) != n_bins:
+                raise ConfigError(
+                    f"{len(means)} bins where shots // bin_size is {n_bins}",
+                    path=where(start),
+                )
+            bins[k] = means
+            k += 1
     if k < len(prefixes):
         raise ConfigError(f"ends before row {prefixes[k]} of the design", path=path.name)
     exp = Experiment(

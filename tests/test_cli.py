@@ -828,6 +828,20 @@ CORRUPTED = {
         "dataset.csv:2: row hadamard/overlap-1,1,1,2 where the design has row "
         "hadamard/overlap-1,1,1,1",
     ),
+    "extra-bin": (
+        lambda ls: ls[:5] + [edit_bin_id(ls[4], "4")] + ls[5:],
+        "dataset.csv:2: 5 bins where shots // bin_size is 4",
+    ),
+    # The same edit past the first default block (the row of lines
+    # 9998-10001), so the line-by-line reading starts after accepted blocks.
+    "extra-bin-later-block": (
+        lambda ls: ls[:10001] + [edit_bin_id(ls[10000], "4")] + ls[10001:],
+        "dataset.csv:9998: 5 bins where shots // bin_size is 4",
+    ),
+    "extra-row": (
+        lambda ls: ls + [f"qpt,12,1,row12,{b},0.5" for b in range(4)],
+        "dataset.csv:14162: row qpt,12,1,row12 where the design ends",
+    ),
     "foreign-tuple-id": (
         lambda ls: ls[:1] + [line.replace(",1,1,1,", ",1,1,foo,") for line in ls[1:5]] + ls[5:],
         "dataset.csv:2: row hadamard/overlap-1,1,1,foo where the design has row "
@@ -891,6 +905,27 @@ class TestDatasetCsv:
                 assert read.groups[n].row_ids == grp.row_ids
                 assert np.array_equal(read.groups[n].bins, grp.bins)
         assert np.array_equal(qpt_read.bins, qpt.bins)
+
+    def test_signed_zeros_keep_their_repr(self, tiny_experiment, tmp_path, monkeypatch):
+        # -0.0 == 0.0 and the two hash alike, so a table of means keyed by
+        # value would spell both alike; each must keep its repr and sign bit.
+        exp, qpt = tiny_experiment
+        ref, other = exp.reference.groups[1], exp.datasets[1].groups[2]
+        ref.bins[0, :2] = [-0.0, 0.0]
+        other.bins[0, :2] = [0.0, -0.0]
+        path = tmp_path / "dataset.csv"
+        cli._write_dataset_csv(path, exp, qpt)
+        reference_dataset_csv(tmp_path / "reference.csv", exp, qpt)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        lines = path.read_text().splitlines()
+        for prefix, texts in (
+            (f"reference,,1,{ref.row_ids[0]}", ("-0.0", "0.0")),
+            (f"hadamard/overlap-1,1,2,{other.row_ids[0]}", ("0.0", "-0.0")),
+        ):
+            k = lines.index(f"{prefix},0,{texts[0]}")
+            assert lines[k + 1] == f"{prefix},1,{texts[1]}"
+        monkeypatch.setattr(cli, "_text_rows", None)  # the block path reads it all
+        assert_same_experiment(exp, qpt, cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG)))
 
     # The block reader gives what the line-by-line reading gives: the same
     # Experiment and QPT bins, or the same error.
@@ -958,6 +993,39 @@ class TestDatasetCsv:
         assert_same_experiment(exp, qpt, read)
         # Line-by-line reading starts at a row boundary at or before the edit.
         assert len(starts) == 1 and starts[0] <= k + 1 and (starts[0] - 2) % 4 == 0
+
+    @pytest.fixture
+    def text_row_starts(self, monkeypatch):
+        """The line numbers that line-by-line readings start at."""
+        starts = []
+        text_rows = cli._text_rows
+
+        def counted(path, first, where):
+            starts.append(first)
+            return text_rows(path, first, where)
+
+        monkeypatch.setattr(cli, "_text_rows", counted)
+        return starts
+
+    def test_more_distinct_means_than_a_bin_takes_read_line_by_line(self, written, text_row_starts):
+        # A bin of bin_size shots takes bin_size + 1 values, so more distinct
+        # mean texts than that are not the writer's output for this design.
+        exp, qpt, path = written
+        grp = exp.datasets[4].groups[2]
+        assert grp.bins.size > 2 * TINY_CONFIG["bin_size"]
+        grp.bins[:] = (np.arange(grp.bins.size).reshape(grp.bins.shape) + 0.5) / grp.bins.size
+        cli._write_dataset_csv(path, exp, qpt)
+        assert_same_experiment(exp, qpt, cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG)))
+        assert len(text_row_starts) == 1
+
+    def test_texts_sharing_a_key_read_line_by_line(self, written, monkeypatch, text_row_starts):
+        # With zero multipliers a mean text's key is its length, so texts of
+        # one length, such as 0.47 and 0.51, share one; the rendering must
+        # then fail the first block.
+        exp, qpt, path = written
+        monkeypatch.setattr(cli, "_KEY_MIX", np.zeros(3, np.uint64))
+        assert_same_experiment(exp, qpt, cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG)))
+        assert text_row_starts == [2]
 
     @pytest.mark.parametrize("block_bytes", [None, 50], ids=["default-blocks", "rows-straddle"])
     @pytest.mark.parametrize("case", list(CORRUPTED))

@@ -447,8 +447,8 @@ def curve_arrays(ds: DecayDataset):
     dataset; the surrogate is pooled into a single pseudo-observation."""
     fins = ds.finite_lengths()
     n = np.array(fins, dtype=np.int64)
-    y = np.array([ds.groups[l].bins.mean() for l in fins])
-    inf_y = float(ds.groups[INFINITE].bins.mean()) if INFINITE in ds.groups else None
+    y = np.array([ds.groups[l].mean() for l in fins])
+    inf_y = ds.groups[INFINITE].mean() if INFINITE in ds.groups else None
     return n, y, inf_y
 
 

@@ -108,6 +108,12 @@ class LengthGroup:
     def n_bins(self) -> int:
         return self.bins.shape[1]
 
+    def mean(self) -> float:
+        """The mean of every bin of the group.  It is taken over a contiguous
+        copy when ``bins`` is a strided view (a split half), because numpy's
+        summation order, and so the last bit, depends on the memory layout."""
+        return float(np.ascontiguousarray(self.bins).mean())
+
 
 @dataclass(frozen=True)
 class DecayDataset:
@@ -131,7 +137,7 @@ class DecayDataset:
         return [n for n in self.lengths() if not math.isinf(n)]
 
     def means(self) -> dict:
-        return {n: float(g.bins.mean()) for n, g in self.groups.items()}
+        return {n: g.mean() for n, g in self.groups.items()}
 
     def n_rows(self) -> int:
         return sum(g.n_rows for g in self.groups.values())

@@ -65,15 +65,15 @@ class RbtSequence:
     n_target_slots: int
     repeat: int = 0
     group: str = "a4"
+    # The row's ``tuple_id`` in sequences.json and dataset.csv, built once:
+    # every simulation and every dataset.csv read looks up every row's id.
+    row_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_target_slots not in (0, len(self.compiled) - 1):
             raise ValueError("target slots must interleave the compiled gates")
-
-    @property
-    def row_id(self) -> str:
-        base = "-".join(str(r) for r in self.randomizers)
-        return f"{base}#{self.repeat}" if self.repeat else base
+        base = "-".join(map(str, self.randomizers))
+        object.__setattr__(self, "row_id", f"{base}#{self.repeat}" if self.repeat else base)
 
 
 @dataclass(frozen=True)

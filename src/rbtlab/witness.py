@@ -48,6 +48,14 @@ def split_halves(ds):
     The split is temporal (first half of the bins vs the rest), not random,
     so it is deterministic and mirrors an experiment's chronology.  Odd bin
     counts are rejected.
+
+    The halves of a :class:`DecayDataset` are read-only views of its bins,
+    so splitting copies no data; a group's mean is taken over a contiguous
+    copy of it (:meth:`LengthGroup.mean`), so a half reads bit for bit as
+    its copy.
+    The halves of a :class:`QptDataset` stay copies: its 12 rows cost
+    nothing to copy, and :meth:`QptDataset.expectations` then needs no such
+    rule.
     """
     if isinstance(ds, QptDataset):
         nb = ds.bins.shape[1]
@@ -64,12 +72,17 @@ def split_halves(ds):
             if grp.n_bins % 2:
                 raise ValueError(f"cannot halve an odd number of bins ({grp.n_bins})")
             half = grp.n_bins // 2
-            first_groups[n] = LengthGroup(grp.row_ids, grp.bins[:, :half].copy())
-            second_groups[n] = LengthGroup(grp.row_ids, grp.bins[:, half:].copy())
+            first_groups[n] = LengthGroup(grp.row_ids, _read_only(grp.bins[:, :half]))
+            second_groups[n] = LengthGroup(grp.row_ids, _read_only(grp.bins[:, half:]))
         first = dataclasses.replace(ds, groups=first_groups, label=ds.label + "/half1")
         second = dataclasses.replace(ds, groups=second_groups, label=ds.label + "/half2")
         return first, second
     raise TypeError(f"cannot split {type(ds).__name__}")
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def build_witness(e1: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -171,6 +172,12 @@ class TestInfiniteSurrogate:
         ss = infinite_length_surrogate(repeats=3)
         ids = [s.row_id for s in ss.sequences]
         assert len(ids) == len(set(ids)) == 36
+
+    def test_row_id_built_once_per_sequence(self):
+        seq = make_sequence((3, 11, 7), basis_index=2, repeat=4)
+        assert seq.row_id == "3-11-7#4" and seq.row_id is seq.row_id
+        assert dataclasses.replace(seq, repeat=0).row_id == "3-11-7"
+        assert seq == dataclasses.replace(seq) and "row_id" not in repr(seq)
 
 
 class TestStandardRb:

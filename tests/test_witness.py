@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from rbtlab.pipeline import (
     simulate_experiment,
     split_half_bootstrap,
 )
-from rbtlab.sampling import sample_qpt_dataset
+from rbtlab.sampling import DecayDataset, LengthGroup, sample_qpt_dataset
 from rbtlab.sequences import INFINITE
 from rbtlab.witness import (
     build_witness,
@@ -74,6 +77,59 @@ class TestSplitHalves:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             split_halves([1, 2, 3])
+
+    def test_decay_halves_are_read_only_views(self):
+        ds = _random_dataset({1: (12, 100), INFINITE: (12, 100)})
+        for half in split_halves(ds):
+            for n, grp in half.groups.items():
+                assert np.shares_memory(grp.bins, ds.groups[n].bins)
+                with pytest.raises(ValueError, match="read-only"):
+                    grp.bins[0, 0] = 0.5
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 100), (12, 2), (1728, 100)], ids=["one-row", "two-bins", "paper-group"]
+    )
+    def test_halves_read_as_their_copies(self, shape):
+        # A strided view's mean can round differently from its copy's; every
+        # reader of a half must give the copy's bits.
+        ds = _random_dataset({n: shape for n in (1, 2, 3, INFINITE)})
+        for half in split_halves(ds):
+            copy = dataclasses.replace(
+                half,
+                groups={n: LengthGroup(g.row_ids, g.bins.copy()) for n, g in half.groups.items()},
+            )
+            (n_h, y_h, inf_h), (n_c, y_c, inf_c) = (fitting.curve_arrays(d) for d in (half, copy))
+            assert np.array_equal(n_h, n_c)
+            assert y_h.tobytes() == y_c.tobytes() and inf_h == inf_c
+            assert half.means() == copy.means()
+            boot_h, boot_c = (fitting.resampled_means(d, 20, seed=3) for d in (half, copy))
+            assert all(boot_h[n].tobytes() == boot_c[n].tobytes() for n in ds.groups)
+
+    def test_decay_split_copies_no_bins(self):
+        # A paper-shaped dataset: 2,160 rows of 100 bins.
+        ds = _random_dataset({1: (144, 100), 2: (144, 100), 3: (1728, 100), INFINITE: (144, 100)})
+        nbytes = sum(g.bins.nbytes for g in ds.groups.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            halves = split_halves(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(halves) == 2
+        assert peak - before < 0.01 * nbytes
+
+
+def _random_dataset(shapes: dict) -> DecayDataset:
+    rng = np.random.default_rng(11)
+    groups = {
+        n: LengthGroup(tuple(str(r) for r in range(rows)), rng.random((rows, nb)))
+        for n, (rows, nb) in shapes.items()
+    }
+    nb = next(iter(shapes.values()))[1]
+    return DecayDataset(
+        basis_index=1, label="random", shots=100 * nb, bin_size=100, seed=0, groups=groups
+    )
 
 
 class TestWitnessPrimitives:

@@ -26,7 +26,9 @@ the same path whichever rows share its batch.  The kernel orders its array
 passes for speed without changing a bit: its row sums add columns in
 numpy's own reduce order, its powers keep the broadcast ``p[:, None] ** n``
 layout (numpy's float64 ``power`` rounds differently in other layouts), and
-its logistic is scipy's ``expit``.
+its logistic and logit are scipy's ``expit`` and ``logit`` to the bit,
+evaluated with the C library's ``exp``, ``log`` and ``log1p`` as scipy's are
+(see :func:`_libm`), so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .sampling import DecayDataset, stream_generator
 from .sequences import INFINITE
@@ -140,9 +141,42 @@ def decay_to_overlap(p):
 _RATE_SPAN = RATE_BOUNDS[1] - RATE_BOUNDS[0]
 
 
+def _libm(ufunc, x) -> np.ndarray:
+    """``ufunc(x)`` of a float64 array or numpy scalar ``x``, for ``np.exp``,
+    ``np.log`` or ``np.log1p``, as the C library's scalar routine computes
+    it, in a new array.
+
+    numpy's own SIMD kernels for these functions differ from the C library
+    in the last bit for a few percent of inputs, and it uses them on
+    forward strides, a one-element array included.  On a flat array read
+    backwards numpy 2.4 calls the C library's routine element by element,
+    which is what scipy's compiled ``expit`` and ``logit`` call.
+    """
+    return ufunc(x.reshape(-1)[::-1])[::-1].reshape(x.shape)
+
+
+def _expit(x) -> np.ndarray:
+    """``scipy.special.expit(x)`` bit for bit: ``1 / (1 + exp(-x))``."""
+    e = _libm(np.exp, np.negative(x, dtype=float))
+    e += 1.0
+    return np.divide(1.0, e, out=e)
+
+
+def _logit(x) -> np.ndarray:
+    """``scipy.special.logit(x)`` bit for bit: ``log(x / (1 - x))``, and
+    ``log1p(s) - log1p(-s)`` with ``s = 2 (x - 0.5)`` on [0.3, 0.65], where
+    the ratio loses precision."""
+    x = np.asarray(x, dtype=float)
+    s = 2.0 * (x - 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = _libm(np.log, x / (1.0 - x))
+        near = _libm(np.log1p, s) - _libm(np.log1p, -s)
+    return np.where((x < 0.3) | (x > 0.65), far, near)
+
+
 def _box_z(u: np.ndarray) -> np.ndarray:
     """Logistic of the unconstrained parameters, flat beyond +-40."""
-    return expit(np.clip(u, -40.0, 40.0))
+    return _expit(np.clip(u, -40.0, 40.0))
 
 
 def _z_params(z: np.ndarray):
@@ -161,7 +195,7 @@ def _to_u(p_j, p_ref, scale, offset) -> np.ndarray:
         (offset, *AMPLITUDE_BOUNDS),
     ):
         frac = (np.asarray(value, dtype=float) - lo) / (hi - lo)
-        cols.append(logit(np.clip(frac, 1e-9, 1.0 - 1e-9)))
+        cols.append(_logit(np.clip(frac, 1e-9, 1.0 - 1e-9)))
     return np.stack(cols, axis=-1)
 
 

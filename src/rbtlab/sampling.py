@@ -36,9 +36,21 @@ __all__ = [
 ]
 
 
+def _stream_keys(labels, lasts) -> list:
+    """``_stream_key(*labels, x)`` for each ``x`` of ``lasts``: every hash
+    continues one copy of the hash state of the shared ``labels``."""
+    head = hashlib.blake2b("".join(f"{x}\x1f" for x in labels).encode(), digest_size=8)
+    keys = []
+    for x in lasts:
+        h = head.copy()
+        h.update(str(x).encode())
+        keys.append(int.from_bytes(h.digest(), "big"))
+    return keys
+
+
 def _stream_key(*labels) -> int:
-    text = "\x1f".join(str(x) for x in labels)
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+    """blake2b-64 of the labels joined by U+001F, as an integer."""
+    return _stream_keys(labels[:-1], labels[-1:])[0]
 
 
 def stream_generator(seed: int, *labels) -> np.random.Generator:
@@ -53,10 +65,18 @@ def stream_generator(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed), _stream_key(*labels)]))
 
 
-def _philox_key(seed: int, *labels) -> np.ndarray:
-    """The key array ``stream_generator(seed, *labels)`` hands to Philox,
-    rounding included."""
-    return np.asarray([int(seed), _stream_key(*labels)]).astype(np.uint64)
+def _philox_keys(seed: int, hashes: np.ndarray) -> np.ndarray:
+    """The key ``stream_generator`` hands to Philox for ``seed`` and each
+    label hash, rounding included: row ``r`` is
+    ``np.asarray([int(seed), int(hashes[r])]).astype(np.uint64)``.  The
+    dtype numpy picks for such a pair depends only on whether the hash is
+    2**63 or more, so each side converts as one array, through that dtype."""
+    keys = np.empty((hashes.size, 2), dtype=np.uint64)
+    for part, probe in ((hashes < 2**63, 0), (hashes >= 2**63, 2**63)):
+        pair = np.asarray([int(seed), probe])
+        keys[part, 0] = pair.astype(np.uint64)[0]
+        keys[part, 1] = hashes[part].astype(pair.dtype).astype(np.uint64)
+    return keys
 
 
 def _gate_superops(group: str) -> list:
@@ -219,8 +239,10 @@ def sample_dataset(
     groups = {}
     for n, rows in by_length.items():
         counts = np.empty((len(rows), n_bins), dtype=np.int64)
+        hashes = np.array(_stream_keys((label, n), range(len(rows))), dtype=np.uint64)
+        keys = _philox_keys(seed, hashes)
         for r, i in enumerate(rows):
-            fresh["state"]["key"] = _philox_key(seed, label, n, r)
+            fresh["state"]["key"] = keys[r]
             bitgen.state = fresh
             counts[r] = rng.binomial(bin_size, probs[i], size=n_bins)
         groups[n] = LengthGroup(

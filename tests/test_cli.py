@@ -3,11 +3,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rbtlab
 from rbtlab import cli
 from rbtlab.cli import DATASET_HEADER, main
 from rbtlab.config import ConfigError, RunConfig
@@ -994,6 +999,44 @@ class TestDatasetCsv:
         # Line-by-line reading starts at a row boundary at or before the edit.
         assert len(starts) == 1 and starts[0] <= k + 1 and (starts[0] - 2) % 4 == 0
 
+    @pytest.mark.parametrize("block_bytes", [None, 50], ids=["default-blocks", "rows-straddle"])
+    def test_late_hand_spelled_row_reads_as_unedited(
+        self, written, monkeypatch, text_row_starts, block_bytes
+    ):
+        # Only the last line's bin id is spelled by hand, so line-by-line
+        # reading starts deep in the file.
+        _, _, path = written
+        cfg = RunConfig.from_dict(TINY_CONFIG)
+        if block_bytes:
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+        unedited = cli._read_dataset_csv(path, cfg)
+        lines = path.read_text().splitlines()
+        lines[-1] = edit_bin_id(lines[-1], "0" + lines[-1].rsplit(",", 2)[1])
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        read = cli._read_dataset_csv(path, cfg)
+        assert_same_experiment(*unedited[:2], read)
+        assert read[2] == hashlib.sha256(path.read_bytes()).hexdigest()
+        # It starts at the last row of the last block accepted, past line 2.
+        starts = text_row_starts
+        assert len(starts) == 1 and starts[0] > 2 and (starts[0] - 2) % 4 == 0
+        if block_bytes:
+            assert starts[0] == len(lines) - 7  # the row before the edited one
+
+    @pytest.mark.parametrize("header_end, line_end", [("\r", "\r\n"), ("\r", "\r")], ids=["header-cr", "all-cr"])
+    def test_lone_cr_line_ends_read_as_unedited(self, written, text_row_starts, header_end, line_end):
+        # The header check and the line-by-line reader both split lines as
+        # csv does, so a header that ends in a lone CR (or a file of lone
+        # CRs) reads like the file simulate wrote, from line 2 on.
+        _, _, path = written
+        cfg = RunConfig.from_dict(TINY_CONFIG)
+        unedited = cli._read_dataset_csv(path, cfg)
+        header, *rows = path.read_text().splitlines()
+        path.write_bytes((header + header_end + "".join(row + line_end for row in rows)).encode())
+        read = cli._read_dataset_csv(path, cfg)
+        assert_same_experiment(*unedited[:2], read)
+        assert read[2] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert text_row_starts == [2]
+
     @pytest.fixture
     def text_row_starts(self, monkeypatch):
         """The line numbers that line-by-line readings start at."""
@@ -1049,6 +1092,29 @@ class TestSequencesJson:
         assert run_cli("gen-sequences", "--config", config, "--out", tmp_path) == 0
         expected = reference_sequences_json(RunConfig.from_dict(data))
         assert (tmp_path / "sequences.json").read_bytes() == expected.encode()
+
+
+class TestImports:
+    def test_no_scipy_at_run_time(self, tmp_path):
+        # scipy is a test oracle only: importing it costs a command about a
+        # quarter of a second and 25 MiB, so no run may load any of it.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, pulse_scan={"sample_counts": [8, 16]})))
+        script = (
+            "import json, sys\n"
+            "from rbtlab.cli import main\n"
+            "for command in ('pipeline', 'pulse-scan'):\n"
+            "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        src = str(Path(rbtlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 class TestErrors:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from rbtlab import fitting
 from rbtlab.channels import NoiseModel, SpamModel
@@ -719,3 +721,64 @@ class TestKernelOracle:
         h[zeros == 0], h[zeros == 1] = -0.0, 0.0
         want = (h @ g[:, :, None])[:, :, 0]
         assert np.einsum("bij,bj->bi", h, g).tobytes() == want.tobytes()
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLogistic:
+    """``_expit`` and ``_logit`` equal scipy's ``expit`` and ``logit`` bit
+    for bit, in every shape the fits use, so no fit depends on scipy."""
+
+    def test_expit_matches_scipy(self):
+        x = np.random.default_rng(1).normal(0.0, 5.0, size=10**6)
+        assert same_bits(fitting._expit(x), expit(x))
+
+    def test_logit_matches_scipy(self):
+        rng = np.random.default_rng(2)
+        # Fractions from both tails and both branches of the formula.
+        x = np.concatenate([rng.random(10**6), expit(rng.normal(0.0, 5.0, size=10**6))])
+        assert same_bits(fitting._logit(x), logit(x))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(), *[(k,) for k in range(1, 10)], *[(k, w) for k in (1, 2, 3, 7, 64) for w in (4, 1)]],
+    )
+    def test_every_shape(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+        for _ in range(200):
+            u = rng.normal(0.0, 20.0, size=shape)
+            assert same_bits(fitting._expit(u), expit(u))
+            assert same_bits(fitting._box_z(u), expit(np.clip(u, -40.0, 40.0)))
+            p = rng.random(size=shape)
+            assert same_bits(fitting._logit(p), logit(p))
+
+    def test_clip_ends(self):
+        u = np.array([[-40.0, 40.0, -41.0, 41.0], [-1e300, 1e300, -0.0, 0.0]])
+        z = fitting._box_z(u)
+        assert same_bits(z, expit(np.clip(u, -40.0, 40.0)))
+        assert np.array_equal(z[0, :2], z[0, 2:]) and np.array_equal(z[1, :2], z[0, :2])
+
+    def test_logit_at_the_branch_ends_and_box_ends(self):
+        x = [1e-9, 1.0 - 1e-9, 0.3, 0.65, 0.5]
+        x += [np.nextafter(0.3, 0.0), np.nextafter(0.3, 1.0)]
+        x += [np.nextafter(0.65, 0.0), np.nextafter(0.65, 1.0)]
+        for value in x:
+            assert same_bits(fitting._logit(value), logit(value)), value
+        assert same_bits(fitting._logit(np.array(x)), logit(np.array(x)))
+
+    def test_against_the_c_library_one_value_at_a_time(self):
+        # Python's math module calls the C library's exp, log and log1p.
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 5.0, size=10**4)
+        want = [1.0 / (1.0 + math.exp(-v)) for v in x.tolist()]
+        assert same_bits(fitting._expit(x), want)
+        p = np.concatenate([rng.random(5 * 10**3), rng.uniform(0.3, 0.65, size=5 * 10**3)])
+        want = [
+            math.log(v / (1.0 - v)) if v < 0.3 or v > 0.65
+            else math.log1p(2.0 * (v - 0.5)) - math.log1p(-2.0 * (v - 0.5))
+            for v in p.tolist()
+        ]
+        assert same_bits(fitting._logit(p), want)

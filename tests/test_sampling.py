@@ -10,6 +10,8 @@ from rbtlab.groups import a4_elements, rotation_unitary
 from rbtlab.pauli import superop_from_unitary, unital_part
 from rbtlab.sampling import (
     QPT_INPUT_STATES,
+    _philox_keys,
+    _stream_keys,
     _survival_probabilities,
     qpt_true_expectations,
     sample_dataset,
@@ -217,6 +219,44 @@ class TestByteContract:
         p = survival_probability(SMALL_SET.sequences[0], HADAMARD, NoiseModel(DAMPING), SpamModel.ideal())
         exact_rng = np.random.Generator(np.random.Philox(key=np.array([11, exact], dtype=np.uint64)))
         assert not np.array_equal(ds.groups[1].bins[0], exact_rng.binomial(100, p, size=10) / 100)
+
+    def test_row_keys_of_the_default_design(self):
+        # Every row key of the default configuration's 21 datasets, built a
+        # length group at a time, equals the one-row key numpy makes of the
+        # pair (seed, label hash).
+        from rbtlab.cli import _sequence_sets
+        from rbtlab.config import RunConfig
+
+        cfg = RunConfig.from_dict({})
+        rows = 0
+        for _, _, label, seqs in _sequence_sets(cfg):
+            counts = {}
+            for seq in seqs.sequences:
+                n = INFINITE if math.isinf(seq.length) else int(seq.length)
+                counts[n] = counts.get(n, 0) + 1
+            for n, count in counts.items():
+                hashes = np.array(_stream_keys((label, n), range(count)), dtype=np.uint64)
+                assert hashes.tolist() == [label_hash(label, n, r) for r in range(count)]
+                expected = [np.asarray([cfg.seed, label_hash(label, n, r)]).astype(np.uint64) for r in range(count)]
+                assert np.array_equal(_philox_keys(cfg.seed, hashes), expected), (label, n)
+                rows += count
+        assert rows == 45_360
+        key = stream_generator(cfg.seed, "reference", 1, 3).bit_generator.state["state"]["key"]
+        hashes = np.array(_stream_keys(("reference", 1), range(4)), dtype=np.uint64)
+        assert np.array_equal(_philox_keys(cfg.seed, hashes)[3], key)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**53 - 1])
+    def test_row_keys_at_the_float64_edges(self, seed):
+        # Hashes below 2**63 stay exact; from 2**63 on the pair goes through
+        # float64, and within 2**10 of 2**64 it rounds up to 2**64, whose
+        # cast to uint64 numpy leaves to the platform.
+        hashes = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1, 5]
+        hashes += [2**64 - d for d in range(1, 2**10 + 1, 37)]
+        with np.errstate(invalid="ignore"):
+            got = _philox_keys(seed, np.array(hashes, dtype=np.uint64))
+            expected = [np.asarray([seed, h]).astype(np.uint64) for h in hashes]
+        assert np.array_equal(got, expected)
+        assert int(got[0, 1]) == 2**63 - 1 and int(got[2, 1]) == 2**63
 
 
 class TestExhaustiveAverageConsistency:

@@ -4,6 +4,11 @@ Every report embeds the configuration hash, so artifacts are diffable and a
 run is a pure function of (config, seed).  All defaults equal the modeled
 experiment's values: 10,000 shots in bins of 100, sequence lengths 1, 2, 3
 plus the infinite-length surrogate, and 2,000 bootstrap replications.
+
+``data/config.schema.json`` is the only record of the rules.  A small
+checker here walks it; it implements exactly the keywords that file uses and
+raises on any other.  jsonschema is a test oracle only, never imported at
+run time.  An ``integer`` is a JSON integer literal, so ``400.0`` is not one.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .channels import (
@@ -72,15 +78,133 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _non_finite(value, path: str = "$"):
+@lru_cache(maxsize=None)
+def _schema() -> dict:
+    """The schema, parsed once per process; the checker only reads it."""
+    return load_schema()
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # A JSON integer literal: 400.0 is a number but not an integer, since
+    # the run uses these values as Python ints.
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: ``true`` is not ``1``, and ``1`` equals ``1.0``."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+# keyword: (the type of value it applies to, or None for any; the test a
+# value fails; the message, formatted with the value v and the rule r).
+_LEAF_KEYWORDS = {
+    "type": (
+        None,
+        lambda r, v: not any(_TYPES[t](v) for t in ([r] if isinstance(r, str) else r)),
+        "{v!r} is not of type {r!r}",
+    ),
+    "const": (None, lambda r, v: not _equal(v, r), "{v!r} is not {r!r}"),
+    "enum": (None, lambda r, v: not any(_equal(v, x) for x in r), "{v!r} is not one of {r!r}"),
+    "minimum": ("number", lambda r, v: v < r, "{v!r} is less than the minimum {r!r}"),
+    "maximum": ("number", lambda r, v: v > r, "{v!r} is greater than the maximum {r!r}"),
+    "exclusiveMinimum": ("number", lambda r, v: v <= r, "{v!r} is not greater than {r!r}"),
+    "pattern": ("string", lambda r, v: not re.search(r, v), "{v!r} does not match {r!r}"),
+    "minItems": ("array", lambda r, v: len(v) < r, "{v!r} has fewer than {r} items"),
+    "maxItems": ("array", lambda r, v: len(v) > r, "{v!r} has more than {r} items"),
+    "uniqueItems": (
+        "array",
+        lambda r, v: r and any(_equal(x, y) for k, x in enumerate(v) for y in v[:k]),
+        "{v!r} has repeated items",
+    ),
+}
+# The leaf keywords, the annotations $schema and title, which check nothing,
+# and the keywords that _schema_errors handles itself.
+_KEYWORDS = frozenset(_LEAF_KEYWORDS) | {
+    "$schema", "title", "required", "properties", "additionalProperties", "propertyNames", "items",
+    "oneOf",
+}
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """Yield ``(path, message)`` for every rule of ``schema`` that ``value``
+    breaks; a path is the tuple of keys and indexes down to the value, and a
+    keyword applies only to the values of its type, as in JSON Schema."""
+    for keyword, rule in schema.items():
+        if keyword not in _KEYWORDS:
+            raise NotImplementedError(f"schema keyword {keyword!r} is not implemented")
+        if keyword in _LEAF_KEYWORDS:
+            kind, fails, message = _LEAF_KEYWORDS[keyword]
+            if (kind is None or _TYPES[kind](value)) and fails(rule, value):
+                yield path, message.format(v=value, r=rule)
+        elif keyword == "oneOf":
+            matches = sum(not any(_schema_errors(sub, value, path)) for sub in rule)
+            if matches != 1:
+                yield path, f"{value!r} matches {matches} of {len(rule)} alternatives, not exactly one"
+        elif keyword == "items" and isinstance(value, list):
+            for k, item in enumerate(value):
+                yield from _schema_errors(rule, item, path + (k,))
+        elif not isinstance(value, dict):
+            continue
+        elif keyword == "required":
+            missing = [key for key in rule if key not in value]
+            if missing:
+                yield path, f"missing required properties {missing!r}"
+        elif keyword == "properties":
+            for key, sub in rule.items():
+                if key in value:
+                    yield from _schema_errors(sub, value[key], path + (key,))
+        elif keyword == "propertyNames":
+            for key in value:
+                yield from _schema_errors(rule, key, path)
+        elif keyword == "additionalProperties":
+            extra = [key for key in value if key not in schema.get("properties", {})]
+            if rule is False and extra:
+                yield path, f"unexpected properties {extra!r}"
+            elif isinstance(rule, dict):
+                for key in extra:
+                    yield from _schema_errors(rule, value[key], path + (key,))
+
+
+_IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path: tuple) -> str:
+    """Spell a path as JSONPath, as jsonschema's ``json_path`` does:
+    ``$.target.axis[1]``, and ``$.repeats['01']`` for a key that is not an
+    identifier."""
+    out = "$"
+    for step in path:
+        if isinstance(step, int):
+            out += f"[{step}]"
+        elif _IDENTIFIER.match(step):
+            out += f".{step}"
+        else:
+            out += "['" + step.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+def _non_finite(value, path: tuple = ()):
     """``(path, value)`` of the first non-finite number in a JSON-like
-    value, with the path spelled as in schema errors; None if there is none."""
+    value; None if there is none."""
     if isinstance(value, float):
         return None if math.isfinite(value) else (path, value)
     if isinstance(value, dict):
-        children = [(f"{path}.{key}", item) for key, item in value.items()]
+        children = [(path + (key,), item) for key, item in value.items()]
     elif isinstance(value, list):
-        children = [(f"{path}[{k}]", item) for k, item in enumerate(value)]
+        children = [(path + (k,), item) for k, item in enumerate(value)]
     else:
         return None
     for child_path, item in children:
@@ -122,12 +246,11 @@ class RunConfig:
         # NaN passes the schema's bounds, so non-finite numbers are refused first.
         bad = _non_finite(merged)
         if bad is not None:
-            raise ConfigError(f"{bad[1]!r} is not a finite number", path=bad[0])
-        validator = jsonschema.Draft202012Validator(load_schema())
-        errors = sorted(validator.iter_errors(merged), key=lambda e: list(e.absolute_path))
-        if errors:
-            err = errors[0]
-            raise ConfigError(err.message, path=err.json_path)
+            raise ConfigError(f"{bad[1]!r} is not a finite number", path=_json_path(bad[0]))
+        # The error with the smallest path, the first of them on a tie.
+        error = min(_schema_errors(_schema(), merged), key=lambda e: e[0], default=None)
+        if error is not None:
+            raise ConfigError(error[1], path=_json_path(error[0]))
         if merged["shots"] % merged["bin_size"]:
             raise ConfigError("shots must be divisible by bin_size", path="$.shots")
         if merged["witness"]["enabled"] and (merged["shots"] // merged["bin_size"]) % 2:
@@ -159,7 +282,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     def target_spec(self):
         return self.raw["target"]
@@ -180,13 +303,10 @@ class RunConfig:
         return SpamModel.with_assignment_error(self.raw["spam"]["assignment_fidelity"])
 
     def lengths(self) -> tuple:
-        return tuple(int(n) for n in self.raw["lengths"])
+        return tuple(self.raw["lengths"])
 
     def repeats(self) -> dict:
-        out = {}
-        for key, value in self.raw["repeats"].items():
-            out[math.inf if key == "inf" else int(key)] = int(value)
-        return out
+        return {math.inf if key == "inf" else int(key): n for key, n in self.raw["repeats"].items()}
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

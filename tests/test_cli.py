@@ -220,6 +220,40 @@ class TestConfig:
         assert "$.seed: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, edit, path",
+        [
+            ("pipeline", {"shots": 400.0}, "$.shots"),
+            ("pipeline", {"bin_size": 100.0}, "$.bin_size"),
+            ("pipeline", {"bootstrap": {"replications": 20.0}}, "$.bootstrap.replications"),
+            ("pipeline", {"bootstrap": {"replications": 20, "samples_per_config": 2.0}},
+             "$.bootstrap.samples_per_config"),
+            ("pulse-scan", {"pulse_scan": {"levels": 5.0}}, "$.pulse_scan.levels"),
+            ("pipeline", {"seed": 11.0}, "$.seed"),
+            ("pipeline", {"lengths": [1, 2.0]}, "$.lengths[1]"),
+            ("pipeline", {"repeats": {"1": 1.0, "inf": 1}}, "$.repeats['1']"),
+            ("pulse-scan", {"pulse_scan": {"sample_counts": [8.0, 16]}}, "$.pulse_scan.sample_counts[0]"),
+        ],
+        ids=["shots", "bin_size", "replications", "samples_per_config", "levels", "seed", "lengths",
+             "repeats", "sample_counts"],
+    )
+    def test_integer_valued_float_rejected(self, tmp_path, capsys, command, edit, path):
+        # JSON Schema's integer admits 400.0. The first five then crashed
+        # with a TypeError and exit 1; the last four ran, through int().
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, **edit)))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeats", [{"1": 2, "01": 3}, {"0": 1}], ids=["leading-zero", "zero"])
+    def test_repeat_key_spells_a_length(self, repeats):
+        # "01" named length 1 too, and the later key silently won.
+        with pytest.raises(ConfigError) as excinfo:
+            RunConfig.from_dict({"repeats": repeats})
+        assert excinfo.value.path == "$.repeats"
+
     def test_axis_angle_target_runs(self, tmp_path):
         # A given target replaces the default {"name": "hadamard"} whole;
         # merged into it, an axis/angle target failed the schema's oneOf.
@@ -1095,26 +1129,39 @@ class TestSequencesJson:
 
 
 class TestImports:
-    def test_no_scipy_at_run_time(self, tmp_path):
-        # scipy is a test oracle only: importing it costs a command about a
-        # quarter of a second and 25 MiB, so no run may load any of it.
+    def test_only_numpy_at_run_time(self, tmp_path):
+        # scipy and jsonschema are test oracles only: importing them costs a
+        # command about 0.25 s and 25 MiB, and 0.06 s and 5 MiB. So a run
+        # loads no third-party package but numpy beyond what the bare
+        # interpreter loads (site .pth files may load some into every one).
+        # Modules without an import spec, such as the Cython runtime that
+        # numpy's extensions register, are not packages and do not count.
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(TINY_CONFIG, pulse_scan={"sample_counts": [8, 16]})))
+        loaded = (
+            "print(json.dumps(sorted({m.split('.')[0] for m, module in sys.modules.items()"
+            " if getattr(module, '__spec__', None)} - set(sys.stdlib_module_names))))\n"
+        )
         script = (
             "import json, sys\n"
             "from rbtlab.cli import main\n"
             "for command in ('pipeline', 'pulse-scan'):\n"
             "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         src = str(Path(rbtlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=600,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == []
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", code + loaded, str(config), str(tmp_path / "out")],
+                capture_output=True, text=True, env=env, timeout=600,
+            )
+            for code in ("import json, sys\n", script)
+        ]
+        for done in runs:
+            assert done.returncode == 0, done.stderr
+        bare, run = (set(json.loads(done.stdout.splitlines()[-1])) for done in runs)
+        assert "scipy" not in run
+        assert run - bare <= {"numpy", "rbtlab"}, run - bare
 
 
 class TestErrors:

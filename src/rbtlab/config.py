@@ -108,6 +108,19 @@ def _equal(a, b) -> bool:
     return a == b
 
 
+# A backslash escape, a character class (a "]" first in it is literal), or
+# a bare "$".
+_PATTERN_TOKEN = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]|\$", re.DOTALL)
+
+
+@lru_cache(maxsize=None)
+def _ecma_regex(pattern: str) -> re.Pattern:
+    """``pattern`` compiled with ECMA-262's ``$``, which JSON Schema uses: the
+    end of input.  Python's ``$`` also matches before a final newline, so
+    every bare ``$`` becomes ``\\Z``."""
+    return re.compile(_PATTERN_TOKEN.sub(lambda m: r"\Z" if m.group() == "$" else m.group(), pattern))
+
+
 # keyword: (the type of value it applies to, or None for any; the test a
 # value fails; the message, formatted with the value v and the rule r).
 _LEAF_KEYWORDS = {
@@ -121,7 +134,7 @@ _LEAF_KEYWORDS = {
     "minimum": ("number", lambda r, v: v < r, "{v!r} is less than the minimum {r!r}"),
     "maximum": ("number", lambda r, v: v > r, "{v!r} is greater than the maximum {r!r}"),
     "exclusiveMinimum": ("number", lambda r, v: v <= r, "{v!r} is not greater than {r!r}"),
-    "pattern": ("string", lambda r, v: not re.search(r, v), "{v!r} does not match {r!r}"),
+    "pattern": ("string", lambda r, v: not _ecma_regex(r).search(v), "{v!r} does not match {r!r}"),
     "minItems": ("array", lambda r, v: len(v) < r, "{v!r} has fewer than {r} items"),
     "maxItems": ("array", lambda r, v: len(v) > r, "{v!r} has more than {r} items"),
     "uniqueItems": (

@@ -74,12 +74,15 @@ _LS_TRIALS = 64
 # bound as a fraction of its box.
 _CREEP_RTOL = 1e-9
 _EDGE_U = 15.0
-# Elements in one chunk of resample indices (2 MiB as int64).  numpy asks
-# the kernel for transparent huge pages for arrays of 4 MiB and more, and
-# the resident size of those depends on the host's free huge pages; keeping
-# the resample temporaries below that size keeps a bootstrap's peak memory
-# the same from run to run.
-_RESAMPLE_ELEMENTS = 1 << 18
+# Elements in one chunk of resample indices (1 MiB as int64; the gathered
+# bins take as much again).  A paper-scale length group of 1,728 rows then
+# resamples one replication per chunk, whether it has all 100 bins or is a
+# split half of 50, so the witness stage's halves peak at about 1.3 MiB of
+# temporaries, not the 4 MiB that three replications per chunk took; the
+# draws are the same for any chunking, and small groups keep large chunks.
+# It also keeps every temporary below the 4 MiB at which numpy asks for
+# transparent huge pages, whose resident size depends on the host.
+_RESAMPLE_ELEMENTS = 1 << 17
 _RESAMPLE_CHUNK = 64  # replications in one chunk, at most
 # Rows in one minimizer batch of several problems, at most.  A batch pays
 # the minimizer's per-iteration cost in Python once for all its rows, and up

@@ -185,15 +185,30 @@ def simulate_experiment(
     ten-overlap bundle of the null operation is simulated for corrections.
     Only the target's overlaps play the target, with gate noise; the null
     operation is played as nothing.
+
+    Every dataset's bins are a block of rows of one float64 matrix, in
+    ``dataset.csv`` order, as the staged reader (``cli._read_dataset_csv``)
+    builds them: the datasets in layout order, each by length with ``inf``
+    last.  At paper scale that matrix is mapped on its own and goes back to
+    the system when the experiment is freed, where per-group arrays would
+    stay behind in malloc's heap.
     """
     repeats = dict(PAPER_REPEATS) if repeats is None else repeats
     name, unitary = resolve_target(target_spec)
     ideal = None if unitary is None else superop_from_unitary(unitary)
+    layout = [
+        (role, j, label, exhaustive_set(j or REFERENCE_OVERLAP, lengths=lengths, repeats=repeats))
+        for role, j, label in dataset_layout(name, unitary is not None)
+    ]
+    bins = np.empty((sum(len(seqs) for *_, seqs in layout), shots // bin_size))
     decays = {}
-    for role, j, label in dataset_layout(name, unitary is not None):
+    start = 0
+    for role, j, label, seqs in layout:
         noisy = role == "target" and ideal is not None
+        block = bins[start : start + len(seqs)]
+        start += len(seqs)
         decays[(role, j)] = sample_dataset(
-            exhaustive_set(j or REFERENCE_OVERLAP, lengths=lengths, repeats=repeats),
+            seqs,
             ideal if noisy else np.eye(4),
             noise,
             spam,
@@ -202,6 +217,7 @@ def simulate_experiment(
             seed=seed,
             label=label,
             noisy_target=noisy,
+            out=block,
         )
     return Experiment(
         target_name=name, target_unitary=unitary, decays=decays, noise=noise, spam=spam

@@ -115,7 +115,12 @@ def survival_probability(
 
 @dataclass(frozen=True)
 class LengthGroup:
-    """All sequences of one length: row metadata plus a (rows, bins) array."""
+    """All sequences of one length: row metadata plus a (rows, bins) array.
+
+    The simulator and the ``dataset.csv`` reader both make ``bins`` a view
+    of the group's rows in one matrix of the whole experiment, in
+    ``dataset.csv`` order.
+    """
 
     row_ids: tuple
     bins: np.ndarray
@@ -215,6 +220,7 @@ def sample_dataset(
     seed: int = 0,
     label: str = "",
     noisy_target: bool = True,
+    out: np.ndarray | None = None,
 ) -> DecayDataset:
     """Draw binned binary outcomes for every sequence in the set.
 
@@ -223,11 +229,22 @@ def sample_dataset(
     ``bin_size`` Bernoulli draws at the sequence's survival probability.
     One Philox generator is re-keyed per row instead of built per row; it
     draws what ``stream_generator(seed, label, length, row)`` would.
+
+    The bins fill ``out``, a float64 ``(rows, shots // bin_size)`` block
+    that is allocated when not given, in ``dataset.csv`` order: by length
+    with ``inf`` last, sequences in order.  Each row's counts are written
+    into the block and the block is divided by ``bin_size`` in place, which
+    rounds as dividing the integer counts does; every length group is a
+    view of its rows.
     """
     if shots % bin_size:
         raise ValueError(f"shots={shots} not divisible by bin_size={bin_size}")
     n_bins = shots // bin_size
     seqs = seq_set.sequences
+    if out is None:
+        out = np.empty((len(seqs), n_bins))
+    elif out.shape != (len(seqs), n_bins) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {(len(seqs), n_bins)}")
     probs = _survival_probabilities(seqs, target, noise, spam, noisy_target).tolist()
     by_length: dict = {}
     for i, seq in enumerate(seqs):
@@ -237,17 +254,19 @@ def sample_dataset(
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
     groups = {}
-    for n, rows in by_length.items():
-        counts = np.empty((len(rows), n_bins), dtype=np.int64)
+    start = 0
+    for n in sorted(by_length):  # inf sorts last
+        rows = by_length[n]
+        block = out[start : start + len(rows)]
+        start += len(rows)
         hashes = np.array(_stream_keys((label, n), range(len(rows))), dtype=np.uint64)
         keys = _philox_keys(seed, hashes)
         for r, i in enumerate(rows):
             fresh["state"]["key"] = keys[r]
             bitgen.state = fresh
-            counts[r] = rng.binomial(bin_size, probs[i], size=n_bins)
-        groups[n] = LengthGroup(
-            row_ids=tuple(seqs[i].row_id for i in rows), bins=counts / bin_size
-        )
+            block[r] = rng.binomial(bin_size, probs[i], size=n_bins)
+        groups[n] = LengthGroup(row_ids=tuple(seqs[i].row_id for i in rows), bins=block)
+    out /= bin_size
     return DecayDataset(
         basis_index=seq_set.basis_index,
         label=label,

@@ -338,6 +338,40 @@ class TestPipeline:
         ]
 
 
+class TestOneMatrix:
+    """The simulator and the staged reader hold an experiment's bins alike:
+    one float64 matrix, rows in dataset.csv order, every length group a view
+    of its rows."""
+
+    @staticmethod
+    def groups_in_file_order(exp):
+        return [ds.groups[n] for ds in exp.decays.values() for n in ds.lengths()]
+
+    @pytest.mark.parametrize("target", ["hadamard", "w", "identity"])
+    def test_simulated_groups_view_one_matrix_in_file_order(self, target):
+        exp, _ = cli._simulate_all(RunConfig.from_dict(dict(TINY_CONFIG, target={"name": target})))
+        groups = self.groups_in_file_order(exp)
+        matrix = groups[0].bins.base
+        assert matrix is not None and matrix.dtype == np.float64
+        assert matrix.shape[0] == sum(g.n_rows for g in groups)
+        row = 0
+        for grp in groups:
+            assert grp.bins.base is matrix and np.shares_memory(grp.bins, matrix)
+            assert grp.bins.ctypes.data == matrix[row].ctypes.data
+            row += grp.n_rows
+
+    @pytest.mark.parametrize("target", ["hadamard", "w", "identity"])
+    def test_simulated_matrix_is_the_readers(self, target, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, target={"name": target})))
+        cfg = RunConfig.from_file(config)
+        assert run_cli("simulate", "--config", config, "--out", tmp_path) == 0
+        simulated = next(iter(cli._simulate_all(cfg)[0].reference.groups.values())).bins.base
+        read, _, _ = cli._read_dataset_csv(tmp_path / "dataset.csv", cfg)
+        matrix = next(iter(read.reference.groups.values())).bins.base
+        assert matrix[: simulated.shape[0]].tobytes() == simulated.tobytes()
+
+
 class TestStages:
     # A target with null data, one without, and one whose name is computed.
     TARGETS = [{"name": "hadamard"}, {"name": "identity"}, {"axis": [1, 2, 3], "angle": 1.1}]

@@ -7,12 +7,14 @@ mutated configurations.
 """
 
 import copy
+import json
 import random
 
 import pytest
 from jsonschema import Draft202012Validator, validators
 
 from rbtlab import config
+from rbtlab.cli import main
 from rbtlab.config import DEFAULT_CONFIG, ConfigError, RunConfig, load_schema
 
 from test_cli import TINY_CONFIG
@@ -37,6 +39,9 @@ VALUES = [
     {"name": "w", "angle": 1.0}, {"axis": [1, 0], "angle": 1.0}, {"axis": [1, 0, 0, 0], "angle": 1},
     {"1": 2}, {"01": 3},
 ]
+# No key ends in a newline: jsonschema matches "pattern" with Python's "$",
+# which also matches before a final newline, where JSON Schema's ECMA-262
+# "$" does not (see test_pattern_dollar_is_end_of_input).
 KEYS = [
     "name", "axis", "angle", "t1", "kind", "samples_per_config", "enabled", "variants", "levels",
     "shotz", "1", "2", "3", "0", "01", "inf", "Inf", "1.5", "-1", "a'b",
@@ -209,3 +214,35 @@ def test_non_identifier_key_is_quoted():
         RunConfig.from_dict({"repeats": {"2": 0}})
     assert excinfo.value.path == "$.repeats['2']"
     assert config._json_path(("repeats", "a'b\\", 3)) == "$.repeats['a\\'b\\\\'][3]"
+
+
+@pytest.mark.parametrize(
+    "repeats", [{"1": 2, "1\n": 3}, {"inf\n": 3}], ids=["aliased-length", "inf-newline"]
+)
+def test_pattern_dollar_is_end_of_input(repeats, tmp_path, capsys):
+    # "1\n" gave length 1 three repeats, and "inf\n" crashed in repeats().
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig.from_dict({"repeats": repeats})
+    assert excinfo.value.path == "$.repeats"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, repeats=repeats)))
+    assert main(["gen-sequences", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: $.repeats: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pattern, value, matches",
+    [
+        ("a$", "a", True),
+        ("a$", "a\n", False),
+        ("^(a|b)$", "b\n", False),
+        ("a\\$", "a$", True),
+        ("a[$]", "a$", True),
+        ("a[]$]", "a$", True),
+        ("a[^]$]b", "a$b", False),
+        ("a\n$", "a\n", True),
+    ],
+)
+def test_only_a_bare_dollar_means_end_of_input(pattern, value, matches):
+    # Escaped or inside a character class, "$" stays a literal.
+    assert (config._ecma_regex(pattern).search(value) is not None) is matches

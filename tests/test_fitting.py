@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rbtlab.fitting import (
 from rbtlab.pipeline import experiment_bootstrap, fit_overlaps, simulate_experiment
 from rbtlab.sampling import DecayDataset, LengthGroup, stream_generator
 from rbtlab.sequences import INFINITE
+from rbtlab.witness import split_halves
 
 TRUE_SCALE, TRUE_OFFSET, TRUE_REF = 0.45, 0.50, 0.98
 
@@ -514,6 +516,21 @@ class TestBootstrap:
         for n in a:
             assert np.array_equal(a[n], b[n])
             assert np.array_equal(a[n], c[n])
+
+    def test_split_half_resample_working_set(self):
+        # A paper-scale length group's split half resamples one replication
+        # per chunk: its index and gathered bins take about 1.3 MiB.
+        bins = np.random.default_rng(3).random((1728, 100))
+        ds = DecayDataset(None, "half", 10_000, 100, 0, {3: LengthGroup(("0",) * 1728, bins)})
+        half, _ = split_halves(ds)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            resampled_means(half, 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, peak
 
     def test_counts_nonconverged_refits(self, monkeypatch):
         over = synth_dataset(1 / 3, seed=71, label="nc-o")

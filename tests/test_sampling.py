@@ -125,6 +125,28 @@ class TestSampleDataset:
         assert ds.n_rows() == len(ss)
 
 
+    def test_draws_into_a_callers_block(self):
+        ss = exhaustive_set(3, lengths=(2, 1), repeats={1: 2})
+        noise = NoiseModel.depolarizing_model(0.9)
+        args = (ss, np.eye(4), noise, PERFECT)
+        alone = sample_dataset(*args, shots=400, bin_size=100, seed=5, label="blk")
+        matrix = np.full((len(ss) + 2, 4), -1.0)
+        into = sample_dataset(*args, shots=400, bin_size=100, seed=5, label="blk", out=matrix[1:-1])
+        assert np.all(matrix[[0, -1]] == -1.0)
+        assert list(into.groups) == sorted(alone.groups) == [1, 2, INFINITE]
+        row = 1
+        for n, grp in into.groups.items():
+            assert grp.row_ids == alone.groups[n].row_ids
+            assert grp.bins.tobytes() == alone.groups[n].bins.tobytes()
+            assert grp.bins.base is matrix
+            assert grp.bins.ctypes.data == matrix[row].ctypes.data
+            row += grp.n_rows
+
+    def test_rejects_a_block_of_the_wrong_shape(self):
+        ss = infinite_length_surrogate()
+        with pytest.raises(ValueError, match="shape"):
+            sample_dataset(ss, None, IDEAL, PERFECT, shots=400, bin_size=100, out=np.empty((len(ss), 3)))
+
 def label_hash(*labels) -> int:
     """blake2b-64 of the labels joined by U+001F: a stream's key before numpy
     converts it."""

@@ -36,7 +36,6 @@ from .channels import (
     amplitude_phase_damping,
     apply_spam,
     depolarizing,
-    unitary_error,
 )
 from .sequences import (
     INFINITE,
@@ -46,7 +45,6 @@ from .sequences import (
     exhaustive_set,
     infinite_length_surrogate,
     make_sequence,
-    standard_rb_set,
     unit_cell,
 )
 from .sampling import (

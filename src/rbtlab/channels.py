@@ -7,22 +7,21 @@ assignment fidelity.  Gate noise composes on the left of the ideal gate by
 default; right composition is available behind a flag.
 
 Zero-length operations (the null gate, software Z frame updates) are
-noiseless: nothing is played, so nothing decoheres.  Per-index channel
-overrides allow modeling specific group elements differently if desired.
+noiseless: nothing is played, so nothing decoheres.  Every gate carries the
+same channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import KET0, choi, superop_from_unitary
+from .pauli import KET0, choi
 
 __all__ = [
     "depolarizing",
     "amplitude_phase_damping",
-    "unitary_error",
     "NoiseModel",
     "SpamModel",
     "apply_spam",
@@ -69,42 +68,27 @@ def amplitude_phase_damping(t: float, t1: float, t2: float) -> np.ndarray:
     return out
 
 
-def unitary_error(axis, angle: float) -> np.ndarray:
-    """Coherent over/under-rotation: the channel of ``exp(-i angle/2 axis.sigma)``."""
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"axis must be a unit vector, |axis| = {norm}")
-    from .groups import rotation_unitary
-
-    return superop_from_unitary(rotation_unitary(axis, angle))
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-gate error channel applied around each ideal gate.
 
-    ``overrides`` maps 1-based group indices to replacement channels.
     ``placement`` selects whether the error acts after ("left") or before
     ("right") the ideal gate.
     """
 
     per_gate_channel: np.ndarray
-    gate_duration: float = DEVICE_GATE_TIME
-    overrides: dict = field(default_factory=dict)
     placement: str = "left"
 
     def __post_init__(self):
         if self.placement not in ("left", "right"):
             raise ValueError(f"placement must be 'left' or 'right', got {self.placement!r}")
-        for chan in [self.per_gate_channel, *self.overrides.values()]:
-            min_eig = float(np.linalg.eigvalsh(choi(chan))[0])
-            if min_eig < -1e-10:
-                raise ValueError(f"noise channel is not CPTP (Choi min-eig {min_eig:.3e})")
+        min_eig = float(np.linalg.eigvalsh(choi(self.per_gate_channel))[0])
+        if min_eig < -1e-10:
+            raise ValueError(f"noise channel is not CPTP (Choi min-eig {min_eig:.3e})")
 
     @classmethod
     def ideal(cls) -> "NoiseModel":
-        return cls(per_gate_channel=np.eye(4), gate_duration=0.0)
+        return cls(per_gate_channel=np.eye(4))
 
     @classmethod
     def coherence_limited(
@@ -116,31 +100,18 @@ class NoiseModel:
     ) -> "NoiseModel":
         return cls(
             per_gate_channel=amplitude_phase_damping(gate_time, t1, t2),
-            gate_duration=gate_time,
             placement=placement,
         )
 
     @classmethod
-    def depolarizing_model(
-        cls, lam: float, gate_time: float = DEVICE_GATE_TIME, placement: str = "left"
-    ) -> "NoiseModel":
-        return cls(
-            per_gate_channel=depolarizing(lam),
-            gate_duration=gate_time,
-            placement=placement,
-        )
+    def depolarizing_model(cls, lam: float, placement: str = "left") -> "NoiseModel":
+        return cls(per_gate_channel=depolarizing(lam), placement=placement)
 
-    def channel_for(self, index: int | None = None) -> np.ndarray:
-        if index is not None and index in self.overrides:
-            return self.overrides[index]
-        return self.per_gate_channel
-
-    def apply(self, gate_superop: np.ndarray, index: int | None = None) -> np.ndarray:
+    def apply(self, gate_superop: np.ndarray) -> np.ndarray:
         """The noisy version of an ideal gate's transfer matrix."""
-        chan = self.channel_for(index)
         if self.placement == "left":
-            return chan @ gate_superop
-        return gate_superop @ chan
+            return self.per_gate_channel @ gate_superop
+        return gate_superop @ self.per_gate_channel
 
 
 @dataclass(frozen=True)

@@ -305,9 +305,7 @@ class RunConfig:
         if cfg["kind"] == "ideal":
             return NoiseModel.ideal()
         if cfg["kind"] == "depolarizing":
-            return NoiseModel.depolarizing_model(
-                cfg["depolarizing"], cfg["gate_time"], cfg["placement"]
-            )
+            return NoiseModel.depolarizing_model(cfg["depolarizing"], cfg["placement"])
         return NoiseModel.coherence_limited(
             cfg["t1"], cfg["t2"], cfg["gate_time"], cfg["placement"]
         )

@@ -12,11 +12,8 @@ Indices are 1-based in the public API (index 1 is always the identity).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -32,10 +29,7 @@ __all__ = [
     "a4_table",
     "clifford24_table",
     "frame_potential",
-    "FIXTURE_RESOURCE",
 ]
-
-FIXTURE_RESOURCE = "group_fixtures.json"
 
 # Axis/angle table for the twirling group: the identity, the three half-turn
 # rotations about the coordinate axes, and the eight third-turn rotations
@@ -102,8 +96,8 @@ def clifford24_elements() -> tuple:
     """The 24-element single-qubit Clifford group.
 
     Generated breadth-first from the identity by right-multiplying with the
-    quarter-turn rotations about X and Z; the first-found order is frozen in
-    the fixture file so indices are reproducible.
+    quarter-turn rotations about X and Z; indices follow the first-found
+    order, which the test suite pins by digest.
     """
     generators = [
         rotation_unitary((1.0, 0.0, 0.0), np.pi / 2),
@@ -192,12 +186,6 @@ class GroupTable:
         if not np.array_equal(left, right):
             raise ValueError("multiplication table is not associative")
 
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.mult.astype(np.int64).tobytes())
-        digest.update(self.inv.astype(np.int64).tobytes())
-        return digest.hexdigest()
-
 
 @lru_cache(maxsize=1)
 def a4_table() -> GroupTable:
@@ -215,37 +203,3 @@ def frame_potential(elements) -> float:
     inner = np.einsum("gba,hbc->ghac", us.conj(), us)
     traces = np.abs(np.trace(inner, axis1=2, axis2=3)) ** 4
     return float(traces.sum() / len(elements) ** 2)
-
-
-def fixture_payload() -> dict:
-    """Regenerate the content of the pinned group fixture file."""
-    return {
-        "a4": {
-            "superops": [e.superop.astype(int).ravel().tolist() for e in a4_elements()],
-            "mult": a4_table().mult.tolist(),
-            "inv": a4_table().inv.tolist(),
-            "checksum": a4_table().checksum(),
-        },
-        "clifford24": {
-            "superops": [
-                e.superop.astype(int).ravel().tolist() for e in clifford24_elements()
-            ],
-            "mult": clifford24_table().mult.tolist(),
-            "inv": clifford24_table().inv.tolist(),
-            "checksum": clifford24_table().checksum(),
-        },
-    }
-
-
-def load_fixtures() -> dict:
-    """The pinned transfer matrices and tables shipped with the package."""
-    text = resources.files("rbtlab.data").joinpath(FIXTURE_RESOURCE).read_text()
-    return json.loads(text)
-
-
-def validate_against_fixtures() -> None:
-    """Raise if the generated groups drift from the pinned fixture file."""
-    pinned = load_fixtures()
-    fresh = fixture_payload()
-    if pinned != fresh:
-        raise RuntimeError("group tables disagree with the pinned fixture file")

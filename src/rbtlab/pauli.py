@@ -34,10 +34,7 @@ __all__ = [
     "avg_fidelity",
     "choi",
     "min_eig_and_vector",
-    "pauli_vector",
-    "density_matrix",
     "superop_to_list",
-    "superop_from_list",
 ]
 
 PAULIS = np.array(
@@ -189,24 +186,6 @@ def min_eig_and_vector(j: np.ndarray, degeneracy_tol: float = 1e-9):
     return float(vals[0]), vec
 
 
-def pauli_vector(rho: np.ndarray) -> np.ndarray:
-    """Coefficient vector ``c[k] = tr(P_k rho)`` of a density operator."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.einsum("kab,ba->k", PAULIS, rho).real
-
-
-def density_matrix(c: np.ndarray) -> np.ndarray:
-    """Density operator ``(1/2) sum_k c[k] P_k`` of a coefficient vector."""
-    return 0.5 * np.tensordot(np.asarray(c, dtype=float), PAULIS, axes=1)
-
-
 def superop_to_list(e: np.ndarray) -> list:
     """Row-major 16-element list, the JSON wire format for transfer matrices."""
     return [float(x) for x in np.asarray(e, dtype=float).ravel()]
-
-
-def superop_from_list(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size != 16:
-        raise ValueError(f"expected 16 values, got {arr.size}")
-    return arr.reshape(4, 4)

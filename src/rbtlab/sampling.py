@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import NoiseModel, SpamModel, apply_spam
-from .groups import a4_elements, clifford24_elements
+from .groups import a4_elements
 from .sequences import INFINITE, RbtSequence, SequenceSet
 
 __all__ = [
@@ -79,11 +79,6 @@ def _philox_keys(seed: int, hashes: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _gate_superops(group: str) -> list:
-    elements = a4_elements() if group == "a4" else clifford24_elements()
-    return [e.superop for e in elements]
-
-
 def survival_probability(
     seq: RbtSequence,
     target: np.ndarray | None,
@@ -93,13 +88,13 @@ def survival_probability(
 ) -> float:
     """Exact survival probability of one compiled sequence.
 
-    The prepared state is propagated through alternating noisy group gates
+    The prepared state is propagated through alternating noisy A4 gates
     and target applications, then fed to the SPAM functional.  ``target`` is
     the ideal channel of the interleaved operation; gate noise is composed
     onto it unless ``noisy_target`` is false (a zero-length target such as
     the null operation is played as nothing and stays noiseless).
     """
-    gates = _gate_superops(seq.group)
+    elements = a4_elements()
     if seq.n_target_slots and target is None:
         raise ValueError("sequence has target slots but no target was given")
     applied_target = None
@@ -107,7 +102,7 @@ def survival_probability(
         applied_target = noise.apply(target) if noisy_target else np.asarray(target)
     state = spam.prep.copy()
     for pos, g in enumerate(seq.compiled):
-        state = noise.apply(gates[g - 1], index=g) @ state
+        state = noise.apply(elements[g - 1].superop) @ state
         if pos < seq.n_target_slots:
             state = applied_target @ state
     return apply_spam(state, spam)
@@ -177,26 +172,21 @@ def _survival_probabilities(
 ) -> np.ndarray:
     """:func:`survival_probability` of every sequence, bit for bit.
 
-    Noisy gate and target matrices are built once.  Sequences of one gate
-    group and shape are propagated together as ``(N,4,4) @ (N,4,1)``
-    products and measured as ``(N,1,4) @ (4,1)``, which round exactly as the
-    per-sequence ``@`` and ``np.dot`` do.
+    The twelve noisy A4 gates and the target are built once.  Sequences of
+    one shape are propagated together as ``(N,4,4) @ (N,4,1)`` products and
+    measured as ``(N,1,4) @ (4,1)``, which round exactly as the per-sequence
+    ``@`` and ``np.dot`` do.
     """
     if target is not None:
         applied_target = noise.apply(target) if noisy_target else np.asarray(target)
+    gates = np.stack([noise.apply(e.superop) for e in a4_elements()])
     batches: dict = {}
     for i, seq in enumerate(seqs):
-        batches.setdefault((seq.group, len(seq.compiled), seq.n_target_slots), []).append(i)
-    noisy_gates: dict = {}
+        batches.setdefault((len(seq.compiled), seq.n_target_slots), []).append(i)
     out = np.empty(len(seqs))
-    for (group, n_gates, n_slots), rows in batches.items():
+    for (n_gates, n_slots), rows in batches.items():
         if n_slots and target is None:
             raise ValueError("sequence has target slots but no target was given")
-        if group not in noisy_gates:
-            noisy_gates[group] = np.stack(
-                [noise.apply(g, index=k) for k, g in enumerate(_gate_superops(group), start=1)]
-            )
-        gates = noisy_gates[group]
         compiled = np.array([seqs[i].compiled for i in rows])
         state = np.repeat(spam.prep.reshape(1, 4, 1), len(rows), axis=0)
         for pos in range(n_gates):

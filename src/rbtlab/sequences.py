@@ -12,7 +12,6 @@ chosen randomizers ``r`` from the A4 twirl group, whose first ten elements
 are the reconstruction basis.  Runs of adjacent group gates are folded
 through A4's integer multiplication table into single gates, leaving the
 compiled alternating form ``[C_a1, target, C_a2, target, ..., C_a(n+1)]``.
-Only :func:`standard_rb_set` also draws from the 24-element Clifford group.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "make_sequence",
     "exhaustive_set",
     "infinite_length_surrogate",
-    "standard_rb_set",
     "PAPER_REPEATS",
 ]
 
@@ -55,10 +53,11 @@ class RbtSequence:
     ``compiled`` lists the group-gate indices in chronological order; for an
     interleaved sequence the target is applied between consecutive entries,
     so there are ``len(compiled) - 1`` target slots.  Infinite-length
-    surrogates and standard-RB sequences carry no target slots.
+    surrogates carry no target slots.
 
     The fields are slots: a default run holds 21,600 sequences, and each
-    takes 96 bytes so, against 192 with an instance ``__dict__`` (CPython 3.11).
+    takes 88 bytes so, against 184 with an instance ``__dict__``
+    (``sys.getsizeof`` of the object and its dict, CPython 3.11.7).
     """
 
     basis_index: int | None
@@ -67,7 +66,6 @@ class RbtSequence:
     compiled: tuple
     n_target_slots: int
     repeat: int = 0
-    group: str = "a4"
     # The row's ``tuple_id`` in sequences.json and dataset.csv, built once:
     # every simulation and every dataset.csv read looks up every row's id.
     row_id: str = field(init=False, repr=False, compare=False)
@@ -87,7 +85,6 @@ class SequenceSet:
     basis_index: int | None
     lengths: tuple
     repeats: dict = field(default_factory=dict)
-    group: str = "a4"
 
     def counts_by_length(self) -> dict:
         out = {}
@@ -210,49 +207,4 @@ def _build_exhaustive_set(basis_index, lengths, repeat_items):
         basis_index=basis_index,
         lengths=lengths + (INFINITE,),
         repeats=repeats,
-    )
-
-
-def standard_rb_set(
-    group: str = "a4",
-    lengths=(1, 2, 3),
-    n_random: int = 32,
-    seed: int = 0,
-) -> SequenceSet:
-    """Random benchmarking sequences with a final table-computed inverting
-    gate, so the ideal product of every sequence is the identity."""
-    from . import sampling
-
-    if group == "a4":
-        table = a4_table()
-    elif group == "clifford24":
-        from .groups import clifford24_table
-
-        table = clifford24_table()
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    rng = sampling.stream_generator(seed, "standard-rb", group)
-    seqs = []
-    for n in lengths:
-        for k in range(n_random):
-            gates = [int(g) for g in rng.integers(1, table.order + 1, size=int(n))]
-            net = _fold(gates, table)
-            closing = table.inverse(net)
-            seqs.append(
-                RbtSequence(
-                    basis_index=None,
-                    length=float(n),
-                    randomizers=tuple(gates),
-                    compiled=tuple(gates + [closing]),
-                    n_target_slots=0,
-                    repeat=k,
-                    group=group,
-                )
-            )
-    return SequenceSet(
-        sequences=tuple(seqs),
-        basis_index=None,
-        lengths=tuple(lengths),
-        repeats={},
-        group=group,
     )

@@ -10,7 +10,6 @@ from rbtlab.channels import (
     amplitude_phase_damping,
     apply_spam,
     depolarizing,
-    unitary_error,
 )
 from rbtlab.groups import a4_elements
 from rbtlab.pauli import KET0, MAX_MIXED, avg_fidelity, choi, superop_from_kraus, unital_part
@@ -80,24 +79,6 @@ class TestAmplitudePhaseDamping:
         assert np.allclose(u, np.diag(np.diag(u)))
 
 
-class TestUnitaryError:
-    def test_zero_angle(self):
-        assert np.allclose(unitary_error((0.0, 0.0, 1.0), 0.0), np.eye(4))
-
-    def test_body_diagonal_two_thirds_turn(self):
-        axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        chan = unitary_error(axis, 2 * np.pi / 3)
-        assert np.abs(chan - a4_elements()[4].superop).max() < 1e-12
-
-    def test_four_pi_is_identity_channel(self):
-        chan = unitary_error((0.0, 1.0, 0.0), 4 * np.pi)
-        assert np.allclose(chan, np.eye(4), atol=1e-12)
-
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(ValueError, match="unit"):
-            unitary_error((1.0, 1.0, 0.0), 0.3)
-
-
 class TestNoiseModel:
     def test_left_placement_default(self):
         nm = NoiseModel.depolarizing_model(0.9)
@@ -108,15 +89,6 @@ class TestNoiseModel:
         nm = NoiseModel.depolarizing_model(0.9, placement="right")
         gate = a4_elements()[1].superop
         assert np.allclose(nm.apply(gate), gate @ depolarizing(0.9))
-
-    def test_per_gate_override(self):
-        nm = NoiseModel(
-            per_gate_channel=depolarizing(0.9),
-            overrides={4: np.eye(4)},
-        )
-        gate = a4_elements()[3].superop
-        assert np.allclose(nm.apply(gate, index=4), gate)
-        assert np.allclose(nm.apply(gate, index=2), depolarizing(0.9) @ gate)
 
     def test_rejects_non_cptp_channel(self):
         with pytest.raises(ValueError, match="CPTP"):

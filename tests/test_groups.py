@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,12 +9,9 @@ from rbtlab.groups import (
     a4_table,
     clifford24_elements,
     clifford24_table,
-    fixture_payload,
     frame_potential,
-    load_fixtures,
     overlap_basis,
     rotation_unitary,
-    validate_against_fixtures,
 )
 from rbtlab.pauli import PAULIS, compose, superop_from_unitary
 
@@ -34,6 +33,26 @@ A4_EXPONENTS = [
     -1j * np.pi / 3 * (-X + Y + Z) / np.sqrt(3),
     -1j * 2 * np.pi / 3 * (-X + Y + Z) / np.sqrt(3),
 ]
+
+
+# Pinned sha256 digests per group: of the element transfer matrices (int8, in
+# index order), and of the int64 multiplication table followed by the int64
+# inverse table.  Sequence compilation and every simulated dataset depend on
+# the A4 element order; nothing else pins the Clifford-24 order.
+PINNED = {
+    "a4": {
+        "elements": "df3936e9ce4fe9eeec78b77db38d658f1a77e1b6fd09087b0b8de7164b021225",
+        "tables": "d4414b4a5f9bb9ceee25352682e13f0e98bbcd22014ed338c434040d52e510cd",
+    },
+    "clifford24": {
+        "elements": "5fcafb2bea50c4fbffa07563a8e8b0630addfc527d60faa68efe1f86947b9fff",
+        "tables": "a7e2ba43495074fdb9ed5a0cf051ddd4ad49ab08c5667ac7f0d65be1c90a0f24",
+    },
+}
+GROUPS = {
+    "a4": (a4_elements, a4_table),
+    "clifford24": (clifford24_elements, clifford24_table),
+}
 
 
 def superop_key(s):
@@ -137,10 +156,16 @@ class TestDesignProperty:
 
 class TestFixtures:
     def test_pinned_file_matches_generated_tables(self):
-        validate_against_fixtures()
+        for name, (_, make_table) in GROUPS.items():
+            table = make_table()
+            digest = hashlib.sha256()
+            digest.update(table.mult.astype(np.int64).tobytes())
+            digest.update(table.inv.astype(np.int64).tobytes())
+            assert digest.hexdigest() == PINNED[name]["tables"], name
 
     def test_checksums_present(self):
-        pinned = load_fixtures()
-        fresh = fixture_payload()
-        for group in ("a4", "clifford24"):
-            assert pinned[group]["checksum"] == fresh[group]["checksum"]
+        for name, (make_elements, _) in GROUPS.items():
+            digest = hashlib.sha256()
+            for e in make_elements():
+                digest.update(e.superop.astype(np.int8).tobytes())
+            assert digest.hexdigest() == PINNED[name]["elements"], name

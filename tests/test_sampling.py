@@ -24,7 +24,6 @@ from rbtlab.sequences import (
     exhaustive_set,
     infinite_length_surrogate,
     make_sequence,
-    standard_rb_set,
 )
 
 IDEAL = NoiseModel.ideal()
@@ -182,7 +181,7 @@ BYTE_CONTRACT_CASES = [
     pytest.param(
         SMALL_SET,
         HADAMARD,
-        NoiseModel(DAMPING, overrides={4: depolarizing(0.95)}, placement="right"),
+        NoiseModel(DAMPING, placement="right"),
         "hadamard/overlap-3",
         True,
         id="noisy-target",
@@ -190,14 +189,6 @@ BYTE_CONTRACT_CASES = [
     pytest.param(SMALL_SET, np.eye(4), NoiseModel(DAMPING), "null/overlap-3", False, id="null-target"),
     # Row 0 of length 1 has a stream key of 2**63 or more.
     pytest.param(SMALL_SET, HADAMARD, NoiseModel(DAMPING), "w/overlap-2", True, id="high-stream-key"),
-    pytest.param(
-        standard_rb_set("clifford24", lengths=(1, 2, 3), n_random=10, seed=3),
-        None,
-        NoiseModel(depolarizing(0.97), overrides={20: DAMPING}),
-        "clifford24",
-        True,
-        id="clifford24",
-    ),
 ]
 
 

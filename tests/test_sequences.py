@@ -3,9 +3,8 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
-from rbtlab.groups import a4_elements, a4_table, clifford24_elements, clifford24_table
+from rbtlab.groups import a4_elements, a4_table
 from rbtlab.sequences import (
     INFINITE,
     PAPER_REPEATS,
@@ -14,7 +13,6 @@ from rbtlab.sequences import (
     exhaustive_set,
     infinite_length_surrogate,
     make_sequence,
-    standard_rb_set,
     unit_cell,
 )
 
@@ -178,35 +176,6 @@ class TestInfiniteSurrogate:
         assert seq.row_id == "3-11-7#4" and seq.row_id is seq.row_id
         assert dataclasses.replace(seq, repeat=0).row_id == "3-11-7"
         assert seq == dataclasses.replace(seq) and "row_id" not in repr(seq)
-
-
-class TestStandardRb:
-    def test_net_identity_by_construction(self):
-        sup24 = [e.superop for e in clifford24_elements()]
-        ss = standard_rb_set("clifford24", lengths=(1, 2, 4), n_random=6, seed=5)
-        for seq in ss.sequences:
-            m = np.eye(4)
-            for g in seq.compiled:
-                m = sup24[g - 1] @ m
-            assert np.allclose(m, np.eye(4))
-
-    def test_seeded_reproducibility(self):
-        a = standard_rb_set("a4", lengths=(2,), n_random=8, seed=3)
-        b = standard_rb_set("a4", lengths=(2,), n_random=8, seed=3)
-        assert a.sequences == b.sequences
-
-    def test_closing_gate_from_table(self):
-        table = clifford24_table()
-        ss = standard_rb_set("clifford24", lengths=(3,), n_random=4, seed=1)
-        for seq in ss.sequences:
-            acc = seq.randomizers[0]
-            for g in seq.randomizers[1:]:
-                acc = table.multiply(g, acc)
-            assert seq.compiled[-1] == table.inverse(acc)
-
-    def test_unknown_group_rejected(self):
-        with pytest.raises(ValueError, match="group"):
-            standard_rb_set("su4")
 
 
 class TestNullTargetReduction:

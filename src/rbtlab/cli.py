@@ -49,12 +49,11 @@ from .fitting import FitResult, decay_to_overlap
 from .pauli import avg_fidelity, superop_to_list
 from .pipeline import (
     N_OVERLAPS,
-    REFERENCE_OVERLAP,
     Experiment,
     ExperimentBootstrap,
     build_reconstruction,
-    dataset_layout,
     experiment_bootstrap,
+    experiment_design,
     percentile_ci,
     qpt_point_estimate,
     qpt_witness_report,
@@ -71,8 +70,9 @@ from .reconstruction import (  # noqa: F401
     hinton_records,
     reconstruct_unital,
 )
-from .sampling import DecayDataset, LengthGroup, QptDataset, sample_qpt_dataset
-from .sequences import INFINITE, exhaustive_set
+from .sampling import DecayDataset, QptDataset, lay_out, sample_qpt_dataset
+# perfbench/tracer.py wraps cli.exhaustive_set, so the name stays here.
+from .sequences import INFINITE, exhaustive_set  # noqa: F401
 from .witness import WitnessReport
 
 __all__ = ["main"]
@@ -111,22 +111,6 @@ def _parse_length(text: str):
     return INFINITE if text == "inf" else int(text)
 
 
-def _j_text(j) -> str:
-    """``dataset.csv``'s spelling of a layout ``j``: empty for the reference."""
-    return "" if j is None else str(j)
-
-
-def _sequence_sets(cfg: RunConfig):
-    """(role, j, label, SequenceSet) of every dataset of
-    :func:`dataset_layout`, in sequences.json and dataset.csv order; the
-    reference (``j`` None) takes the ``REFERENCE_OVERLAP`` sequences, and
-    each set's ``basis_index`` is the overlap its sequences come from."""
-    name, unitary = resolve_target(cfg.target_spec())
-    for role, j, label in dataset_layout(name, unitary is not None):
-        seqs = exhaustive_set(j or REFERENCE_OVERLAP, lengths=cfg.lengths(), repeats=cfg.repeats())
-        yield role, j, label, seqs
-
-
 def _json_int_list(count: int, indent: int) -> str:
     """%-template of a non-empty list of ``count`` ints at ``indent`` in the
     ``json.dumps(indent=1)`` layout."""
@@ -156,9 +140,11 @@ def _write_sequences_json(path: Path, cfg: RunConfig) -> None:
     ``{"j", "role", "sequences"}`` and each sequence ``{"compiled", "n",
     "randomizers", "repeat"}``, with ``n`` spelled as in dataset.csv.
     """
+    name, unitary = resolve_target(cfg.target_spec())
+    design = experiment_design(name, unitary is not None, cfg.lengths(), cfg.repeats())
     with path.open("w") as f:
         f.write(f'{{\n "config_hash": {json.dumps(cfg.config_hash())},\n "datasets": [')
-        for k, (role, _j, _label, seqs) in enumerate(_sequence_sets(cfg)):
+        for k, (role, _j, _label, seqs) in enumerate(design):
             n_texts = {n: json.dumps(_format_length(n)) for n in seqs.lengths}
             items = ",\n".join(
                 _sequence_template(len(s.compiled), len(s.randomizers))
@@ -252,21 +238,32 @@ def _write_bin_lines(f, prefixes: list, bins: np.ndarray, tails: _Tails) -> None
         f.write(_render(prefixes[i : i + 64], row_tails[i : i + 64].tolist()))
 
 
+_QPT_ROWS = 12  # tomography rows: 4 input states x 3 observables
+
+
+def _row_prefixes(exp: Experiment, qpt_on: bool):
+    """Yield the ``role,j,n,tuple_id`` prefix of every dataset.csv row, one
+    list per block of rows in file order: each decay dataset's length groups
+    in the order of its ``lengths()``, then the 12 tomography rows exactly
+    when QPT is on and the target has null data."""
+    for (_role, j), ds in exp.decays.items():
+        for n in ds.lengths():
+            head = f"{ds.label},{'' if j is None else j},{_format_length(n)},"
+            yield [head + row_id for row_id in ds.groups[n].row_ids]
+    if qpt_on and exp.target_unitary is not None:
+        yield [f"qpt,{r},1,row{r}" for r in range(_QPT_ROWS)]
+
+
 def _write_dataset_csv(path: Path, exp: Experiment, qpt: QptDataset | None) -> None:
-    """One line per bin: the decay datasets in layout order, each by length,
-    then the tomography rows (see README, "``dataset.csv`` format")."""
+    """One line per bin, the rows of :func:`_row_prefixes` (see README,
+    "``dataset.csv`` format")."""
     tails = _Tails(exp.reference.shots // exp.reference.bin_size, b"\r\n")
+    blocks = [ds.groups[n].bins for ds in exp.decays.values() for n in ds.lengths()]
+    blocks += [] if qpt is None else [qpt.bins]
     with path.open("wb") as f:
         f.write(",".join(DATASET_HEADER).encode() + b"\r\n")
-        for (_role, j), ds in exp.decays.items():
-            for n in ds.lengths():
-                grp = ds.groups[n]
-                head = f"{ds.label},{_j_text(j)},{_format_length(n)},"
-                prefixes = [f"{head}{rid},".encode() for rid in grp.row_ids]
-                _write_bin_lines(f, prefixes, grp.bins, tails)
-        if qpt is not None:
-            prefixes = [f"qpt,{r},1,row{r},".encode() for r in range(qpt.bins.shape[0])]
-            _write_bin_lines(f, prefixes, qpt.bins, tails)
+        for prefixes, bins in zip(_row_prefixes(exp, qpt is not None), blocks, strict=True):
+            _write_bin_lines(f, [f"{prefix},".encode() for prefix in prefixes], bins, tails)
 
 
 def _line_runs(lines, first: int, where):
@@ -455,64 +452,45 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
     bytes read.
 
     The configuration's design is the reader's only record of which rows
-    exist: the datasets of :func:`_sequence_sets` in order, each with its
-    rows by length (``inf`` last) in sequence order, then the 12 tomography
-    rows when QPT is on for a target with null data.  Every length group and
-    the tomography data view their rows of one array.  Row ``k`` of the file
-    (a run of lines sharing one ``role,j,n,tuple_id`` prefix) must be row
-    ``k`` of the design, and its bin means fill row ``k`` of that array.
-    :func:`_read_blocks` takes every block of the file that the writer's
-    rendering of the design's rows, with the file's own mean texts and the
-    header's line end (CRLF or LF), reproduces; the rest is read line by
-    line.  A wrong header or field count, an
-    unparsable number, a mean outside [0, 1], bin ids other than 0, 1, 2, ...
-    in order, a bin count other than the configuration's ``shots //
-    bin_size``, or a row other than the design's raises a ConfigError naming
-    the line; a file that ends early raises one naming the first missing row.
+    exist: the datasets of :func:`experiment_design`, each laid out by
+    :func:`sampling.lay_out`, and the rows of :func:`_row_prefixes`.  Every
+    length group and the tomography data view their rows of one array.  Row
+    ``k`` of the file (a run of lines sharing one ``role,j,n,tuple_id``
+    prefix) must be row ``k`` of the design, and its bin means fill row
+    ``k`` of that array.  :func:`_read_blocks` takes every block of the file
+    that the writer's rendering of the design's rows, with the file's own
+    mean texts and the header's line end (CRLF or LF), reproduces; the rest
+    is read line by line.  A wrong header or field count, an unparsable
+    number, a mean outside [0, 1], bin ids other than 0, 1, 2, ... in order,
+    a bin count other than the configuration's ``shots // bin_size``, or a
+    row other than the design's raises a ConfigError naming the line; a file
+    that ends early raises one naming the first missing row.
     """
 
     def where(lineno: int) -> str:
         return f"{path.name}:{lineno}"
 
     name, unitary = resolve_target(cfg.target_spec())
-    sets = list(_sequence_sets(cfg))
-    n_qpt = 12 if cfg.raw["qpt"]["enabled"] and unitary is not None else 0
-    n_bins = cfg.raw["shots"] // cfg.raw["bin_size"]
-    bins = np.empty((sum(len(seqs) for *_, seqs in sets) + n_qpt, n_bins))
-    prefixes, decays = [], {}  # the design's rows in file order, and its datasets
-    for role, j, label, seqs in sets:
-        row_ids = {n: [] for n in sorted(seqs.lengths)}  # inf sorts last
-        for seq in seqs.sequences:
-            row_ids[seq.length].append(seq.row_id)
-        groups = {}
-        for n, ids in row_ids.items():
-            groups[n] = LengthGroup(tuple(ids), bins[len(prefixes) : len(prefixes) + len(ids)])
-            head = f"{label},{_j_text(j)},{_format_length(n)},"
-            prefixes += [head + row_id for row_id in ids]
-        decays[(role, j)] = DecayDataset(
-            basis_index=seqs.basis_index,
-            label=label,
-            shots=cfg.raw["shots"],
-            bin_size=cfg.raw["bin_size"],
-            seed=cfg.seed,
-            groups=groups,
-        )
-    qpt = None
-    if n_qpt:
-        qpt = QptDataset(
-            bins=bins[len(prefixes) :],
-            shots=cfg.raw["shots"],
-            bin_size=cfg.raw["bin_size"],
-            seed=cfg.seed,
-            label="qpt",
-        )
-        prefixes += [f"qpt,{r},1,row{r}" for r in range(n_qpt)]
+    design = list(experiment_design(name, unitary is not None, cfg.lengths(), cfg.repeats()))
+    shots, bin_size = cfg.raw["shots"], cfg.raw["bin_size"]
+    n_bins = shots // bin_size
+    n_rows = sum(len(seqs) for *_, seqs in design)
+    # With room for the tomography rows, if _row_prefixes has them.
+    bins = np.empty((n_rows + _QPT_ROWS, n_bins))
+    decays, start = {}, 0
+    for role, j, label, seqs in design:
+        decays[(role, j)] = lay_out(seqs, bins[start : start + len(seqs)], label, shots, bin_size, cfg.seed)
+        start += len(seqs)
+    exp = Experiment(name, unitary, decays, cfg.noise_model(), cfg.spam_model())
+    prefixes = [prefix for block in _row_prefixes(exp, cfg.raw["qpt"]["enabled"]) for prefix in block]
+    bins = bins[: len(prefixes)]
+    qpt = QptDataset(bins[n_rows:], shots, bin_size, cfg.seed) if len(prefixes) > n_rows else None
 
     digest = hashlib.sha256()
     with path.open("rb") as f:
         header = f.readline()
         digest.update(header)
-        k, done = _read_blocks(f, _EOLS.get(header), prefixes, bins, cfg.raw["bin_size"] + 1, digest)
+        k, done = _read_blocks(f, _EOLS.get(header), prefixes, bins, bin_size + 1, digest)
         for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
             digest.update(chunk)
     if not done:
@@ -530,13 +508,6 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
             k += 1
     if k < len(prefixes):
         raise ConfigError(f"ends before row {prefixes[k]} of the design", path=path.name)
-    exp = Experiment(
-        target_name=name,
-        target_unitary=unitary,
-        decays=decays,
-        noise=cfg.noise_model(),
-        spam=cfg.spam_model(),
-    )
     return exp, qpt, digest.hexdigest()
 
 
@@ -757,7 +728,7 @@ def _decay_curve_rows(labeled_fits, reference: DecayDataset):
 
 
 def _labeled_fits(exp: Experiment, boot: ExperimentBootstrap):
-    """(name, j, dataset, point fit) of every overlap dataset, in layout order."""
+    """(name, j, dataset, point fit) of every overlap dataset, in design order."""
     fits = {"target": boot.fits, "null": boot.null_fits}
     return [
         (exp.target_name if role == "target" else role, j, ds, fits[role][j - 1])

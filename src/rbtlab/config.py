@@ -32,6 +32,7 @@ from .channels import (
     NoiseModel,
     SpamModel,
 )
+from .reconstruction import MIN_VISIBILITY
 
 __all__ = ["ConfigError", "RunConfig", "DEFAULT_CONFIG", "load_schema"]
 
@@ -274,6 +275,16 @@ class RunConfig:
             )
         if merged["noise"]["t2"] > 2 * merged["noise"]["t1"]:
             raise ConfigError("t2 must not exceed 2*t1", path="$.noise.t2")
+        qpt = merged["qpt"]
+        f = qpt["assumed_assignment_fidelity"]
+        if qpt["enabled"] and f is not None and abs(2.0 * f - 1.0) < MIN_VISIBILITY:
+            raise ConfigError(
+                f"{f!r} leaves the readout no contrast to rescale by",
+                path="$.qpt.assumed_assignment_fidelity",
+            )
+        if merged["pulse_scan"]["anharmonicity_hz"] == 0:
+            # The DRAG correction divides by the anharmonicity.
+            raise ConfigError("the anharmonicity must not be zero", path="$.pulse_scan.anharmonicity_hz")
         axis = merged["target"].get("axis")
         if axis is not None:
             # resolve_target divides the axis by this norm, which overflows

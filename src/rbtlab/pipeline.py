@@ -44,7 +44,7 @@ from .reconstruction import (
     w_fidelity_direct,
 )
 from .sampling import DecayDataset, QptDataset, sample_dataset, stream_generator
-from .sequences import PAPER_REPEATS, exhaustive_set
+from .sequences import exhaustive_set
 from .witness import (
     WitnessReport,
     build_witness,
@@ -55,7 +55,7 @@ from .witness import (
 )
 
 __all__ = [
-    "dataset_layout",
+    "experiment_design",
     "Experiment",
     "resolve_target",
     "simulate_experiment",
@@ -110,28 +110,25 @@ def resolve_target(spec) -> tuple:
     raise ValueError(f"cannot interpret target spec {spec!r}")
 
 
-def dataset_layout(name: str, has_null: bool) -> list:
-    """``(role, j, label)`` of every decay dataset of an experiment, in the
-    order of ``sequences.json`` and ``dataset.csv``: the target's overlaps
-    1-10, then, when the target has null data, the null operation's overlaps
-    1-10, then the reference (``j`` None), sampled from the
-    ``REFERENCE_OVERLAP`` sequences."""
+def experiment_design(name: str, has_null: bool, lengths, repeats: dict | None):
+    """Yield ``(role, j, label, SequenceSet)`` of every decay dataset of an
+    experiment, in the order of ``sequences.json`` and ``dataset.csv``: the
+    target's overlaps 1-10, then, when the target has null data, the null
+    operation's overlaps 1-10, then the reference (``j`` None), which takes
+    the ``REFERENCE_OVERLAP`` sequences.  Each set's ``basis_index`` is the
+    overlap its sequences come from."""
     roles = [("target", name)] + ([("null", "null")] if has_null else [])
-    layout = [
-        (role, j, f"{prefix}/overlap-{j}")
-        for role, prefix in roles
-        for j in range(1, N_OVERLAPS + 1)
-    ]
-    layout.append(("reference", None, "reference"))
-    return layout
+    sets = [(role, j, f"{prefix}/overlap-{j}") for role, prefix in roles for j in range(1, N_OVERLAPS + 1)]
+    for role, j, label in sets + [("reference", None, "reference")]:
+        yield role, j, label, exhaustive_set(j or REFERENCE_OVERLAP, lengths=lengths, repeats=repeats)
 
 
 @dataclass(frozen=True)
 class Experiment:
     """All simulated data needed to reconstruct and correct one target.
 
-    ``decays`` maps each ``(role, j)`` of :func:`dataset_layout` to its
-    dataset, in layout order.
+    ``decays`` maps each ``(role, j)`` of :func:`experiment_design` to its
+    dataset, in design order.
     """
 
     target_name: str
@@ -186,27 +183,20 @@ def simulate_experiment(
     Only the target's overlaps play the target, with gate noise; the null
     operation is played as nothing.
 
-    Every dataset's bins are a block of rows of one float64 matrix, in
-    ``dataset.csv`` order, as the staged reader (``cli._read_dataset_csv``)
-    builds them: the datasets in layout order, each by length with ``inf``
-    last.  At paper scale that matrix is mapped on its own and goes back to
-    the system when the experiment is freed, where per-group arrays would
-    stay behind in malloc's heap.
+    Every dataset's bins are a block of rows of one float64 matrix, the
+    datasets in :func:`experiment_design` order, as the staged reader
+    (``cli._read_dataset_csv``) holds them.  At paper scale that matrix is
+    mapped on its own and goes back to the system when the experiment is
+    freed, where per-group arrays would stay behind in malloc's heap.
     """
-    repeats = dict(PAPER_REPEATS) if repeats is None else repeats
     name, unitary = resolve_target(target_spec)
     ideal = None if unitary is None else superop_from_unitary(unitary)
-    layout = [
-        (role, j, label, exhaustive_set(j or REFERENCE_OVERLAP, lengths=lengths, repeats=repeats))
-        for role, j, label in dataset_layout(name, unitary is not None)
-    ]
-    bins = np.empty((sum(len(seqs) for *_, seqs in layout), shots // bin_size))
+    design = list(experiment_design(name, unitary is not None, lengths, repeats))
+    bins = np.empty((sum(len(seqs) for *_, seqs in design), shots // bin_size))
     decays = {}
     start = 0
-    for role, j, label, seqs in layout:
+    for role, j, label, seqs in design:
         noisy = role == "target" and ideal is not None
-        block = bins[start : start + len(seqs)]
-        start += len(seqs)
         decays[(role, j)] = sample_dataset(
             seqs,
             ideal if noisy else np.eye(4),
@@ -217,8 +207,9 @@ def simulate_experiment(
             seed=seed,
             label=label,
             noisy_target=noisy,
-            out=block,
+            out=bins[start : start + len(seqs)],
         )
+        start += len(seqs)
     return Experiment(
         target_name=name, target_unitary=unitary, decays=decays, noise=noise, spam=spam
     )

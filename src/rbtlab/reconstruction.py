@@ -32,8 +32,13 @@ __all__ = [
     "w_fidelity_direct",
     "W_DECOMPOSITION",
     "qpt_linear_inversion",
+    "MIN_VISIBILITY",
     "hinton_records",
 ]
+
+# The least readout visibility |2f - 1| that an assumed assignment fidelity
+# f may leave linear-inversion tomography to rescale by.
+MIN_VISIBILITY = 1e-9
 
 # Transfer-matrix coordinates reachable by overlap tomography: the corner
 # plus the 3x3 unital block.  The complement is reported as "not accessible".
@@ -176,7 +181,7 @@ def qpt_linear_inversion(
         raise ValueError(f"expected 4x3 expectation tables, got {m.shape}")
     if assumed_assignment_fidelity is not None:
         visibility = 2.0 * assumed_assignment_fidelity - 1.0
-        if abs(visibility) < 1e-9:
+        if abs(visibility) < MIN_VISIBILITY:
             raise ValueError("assumed assignment fidelity of 0.5 has no contrast")
         m = m / visibility
     design = QPT_INPUT_STATES.T

@@ -26,6 +26,7 @@ from .sequences import INFINITE, RbtSequence, SequenceSet
 __all__ = [
     "stream_generator",
     "survival_probability",
+    "lay_out",
     "sample_dataset",
     "DecayDataset",
     "LengthGroup",
@@ -200,6 +201,22 @@ def _survival_probabilities(
     return out
 
 
+def lay_out(
+    seq_set: SequenceSet, bins: np.ndarray, label: str, shots: int, bin_size: int, seed: int
+) -> DecayDataset:
+    """The dataset of ``seq_set`` over the rows of ``bins``, in
+    ``dataset.csv`` order: by length with ``inf`` last, sequences in order
+    within a length.  Every length group is a view of its rows."""
+    rows: dict = {}
+    for seq in seq_set.sequences:
+        rows.setdefault(INFINITE if math.isinf(seq.length) else int(seq.length), []).append(seq)
+    groups, start = {}, 0
+    for n in sorted(rows):  # inf sorts last
+        groups[n] = LengthGroup(tuple(s.row_id for s in rows[n]), bins[start : start + len(rows[n])])
+        start += len(rows[n])
+    return DecayDataset(seq_set.basis_index, label, shots, bin_size, seed, groups)
+
+
 def sample_dataset(
     seq_set: SequenceSet,
     target: np.ndarray | None,
@@ -221,11 +238,9 @@ def sample_dataset(
     draws what ``stream_generator(seed, label, length, row)`` would.
 
     The bins fill ``out``, a float64 ``(rows, shots // bin_size)`` block
-    that is allocated when not given, in ``dataset.csv`` order: by length
-    with ``inf`` last, sequences in order.  Each row's counts are written
-    into the block and the block is divided by ``bin_size`` in place, which
-    rounds as dividing the integer counts does; every length group is a
-    view of its rows.
+    that is allocated when not given and laid out by :func:`lay_out`.  Each
+    row's counts are written into the block and the block is divided by
+    ``bin_size`` in place, which rounds as dividing the integer counts does.
     """
     if shots % bin_size:
         raise ValueError(f"shots={shots} not divisible by bin_size={bin_size}")
@@ -235,36 +250,22 @@ def sample_dataset(
         out = np.empty((len(seqs), n_bins))
     elif out.shape != (len(seqs), n_bins) or out.dtype != np.float64:
         raise ValueError(f"out must be float64 of shape {(len(seqs), n_bins)}")
-    probs = _survival_probabilities(seqs, target, noise, spam, noisy_target).tolist()
-    by_length: dict = {}
-    for i, seq in enumerate(seqs):
-        key = INFINITE if math.isinf(seq.length) else int(seq.length)
-        by_length.setdefault(key, []).append(i)
+    ds = lay_out(seq_set, out, label, shots, bin_size, seed)
+    probs = _survival_probabilities(seqs, target, noise, spam, noisy_target)
+    lengths = np.array([seq.length for seq in seqs])
     bitgen = np.random.Philox(key=[0, 0])
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
-    groups = {}
-    start = 0
-    for n in sorted(by_length):  # inf sorts last
-        rows = by_length[n]
-        block = out[start : start + len(rows)]
-        start += len(rows)
-        hashes = np.array(_stream_keys((label, n), range(len(rows))), dtype=np.uint64)
+    for n, grp in ds.groups.items():
+        block = grp.bins
+        hashes = np.array(_stream_keys((label, n), range(grp.n_rows)), dtype=np.uint64)
         keys = _philox_keys(seed, hashes)
-        for r, i in enumerate(rows):
+        for r, p in enumerate(probs[lengths == n].tolist()):
             fresh["state"]["key"] = keys[r]
             bitgen.state = fresh
-            block[r] = rng.binomial(bin_size, probs[i], size=n_bins)
-        groups[n] = LengthGroup(row_ids=tuple(seqs[i].row_id for i in rows), bins=block)
+            block[r] = rng.binomial(bin_size, p, size=n_bins)
     out /= bin_size
-    return DecayDataset(
-        basis_index=seq_set.basis_index,
-        label=label,
-        shots=shots,
-        bin_size=bin_size,
-        seed=seed,
-        groups=groups,
-    )
+    return ds
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,35 @@ class TestConfig:
             RunConfig.from_dict({"repeats": repeats})
         assert excinfo.value.path == "$.repeats"
 
+    @pytest.mark.parametrize(
+        "command, edit, path",
+        [
+            ("pipeline", {"qpt": {"assumed_assignment_fidelity": 0.5}}, "$.qpt.assumed_assignment_fidelity"),
+            ("pipeline", {"qpt": {"assumed_assignment_fidelity": 0.5 + 2**-32}},
+             "$.qpt.assumed_assignment_fidelity"),
+            ("pulse-scan", {"pulse_scan": {"sample_counts": [8, 3]}}, "$.pulse_scan.sample_counts[1]"),
+            ("pulse-scan", {"pulse_scan": {"sample_counts": [2]}}, "$.pulse_scan.sample_counts[0]"),
+            ("pulse-scan", {"pulse_scan": {"anharmonicity_hz": 0}}, "$.pulse_scan.anharmonicity_hz"),
+        ],
+        ids=["qpt-no-contrast", "qpt-almost-no-contrast", "three-samples", "two-samples",
+             "no-anharmonicity"],
+    )
+    def test_setting_the_run_refuses_rejected(self, tmp_path, capsys, command, edit, path):
+        # Each passed the schema and then raised with exit 1: linear-inversion
+        # tomography refuses |2f - 1| < 1e-9, a pulse of fewer than 4 samples
+        # is shorter than its 4-sigma envelope, and the DRAG correction
+        # divides by the anharmonicity.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, **edit)))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_contrast_allowed_with_qpt_off(self):
+        qpt = {"enabled": False, "assumed_assignment_fidelity": 0.5}
+        assert RunConfig.from_dict({"qpt": qpt}).raw["qpt"] == qpt
+
     def test_axis_angle_target_runs(self, tmp_path):
         # A given target replaces the default {"name": "hadamard"} whole;
         # merged into it, an axis/angle target failed the schema's oneOf.
@@ -343,13 +372,22 @@ class TestOneMatrix:
     one float64 matrix, rows in dataset.csv order, every length group a view
     of its rows."""
 
+    DESIGNS = {
+        "hadamard": {"target": {"name": "hadamard"}},
+        "w": {"target": {"name": "w"}},
+        "identity": {"target": {"name": "identity"}},
+        # sequences.json keeps the listed order; dataset.csv sorts by length.
+        "lengths-out-of-order": {"lengths": [2, 1], "repeats": {"1": 1, "2": 2, "inf": 1}},
+    }
+
     @staticmethod
     def groups_in_file_order(exp):
         return [ds.groups[n] for ds in exp.decays.values() for n in ds.lengths()]
 
-    @pytest.mark.parametrize("target", ["hadamard", "w", "identity"])
-    def test_simulated_groups_view_one_matrix_in_file_order(self, target):
-        exp, _ = cli._simulate_all(RunConfig.from_dict(dict(TINY_CONFIG, target={"name": target})))
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_simulated_groups_view_one_matrix_in_file_order(self, design):
+        exp, _ = cli._simulate_all(RunConfig.from_dict(dict(TINY_CONFIG, **self.DESIGNS[design])))
+        assert all(list(ds.groups) == [1, 2, math.inf] for ds in exp.decays.values())
         groups = self.groups_in_file_order(exp)
         matrix = groups[0].bins.base
         assert matrix is not None and matrix.dtype == np.float64
@@ -360,16 +398,21 @@ class TestOneMatrix:
             assert grp.bins.ctypes.data == matrix[row].ctypes.data
             row += grp.n_rows
 
-    @pytest.mark.parametrize("target", ["hadamard", "w", "identity"])
-    def test_simulated_matrix_is_the_readers(self, target, tmp_path):
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    def test_simulated_matrix_is_the_readers(self, design, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(TINY_CONFIG, target={"name": target})))
+        config.write_text(json.dumps(dict(TINY_CONFIG, **self.DESIGNS[design])))
         cfg = RunConfig.from_file(config)
         assert run_cli("simulate", "--config", config, "--out", tmp_path) == 0
-        simulated = next(iter(cli._simulate_all(cfg)[0].reference.groups.values())).bins.base
+        exp = cli._simulate_all(cfg)[0]
+        simulated = next(iter(exp.reference.groups.values())).bins.base
         read, _, _ = cli._read_dataset_csv(tmp_path / "dataset.csv", cfg)
         matrix = next(iter(read.reference.groups.values())).bins.base
         assert matrix[: simulated.shape[0]].tobytes() == simulated.tobytes()
+        for key, ds in exp.decays.items():
+            assert list(read.decays[key].groups) == list(ds.groups)
+            for n, grp in ds.groups.items():
+                assert read.decays[key].groups[n].row_ids == grp.row_ids
 
 
 class TestStages:
@@ -1196,6 +1239,51 @@ class TestImports:
         bare, run = (set(json.loads(done.stdout.splitlines()[-1])) for done in runs)
         assert "scipy" not in run
         assert run - bare <= {"numpy", "rbtlab"}, run - bare
+
+
+class TestTracedRun:
+    # perfbench/tracer.py wraps rbtlab functions by the names their callers
+    # look them up under, so a call that bypasses such a name drops out of
+    # the benchmark's per-layer metrics without failing any run.
+    COUNTS = {
+        "sequences.exhaustive_set_calls": 84,
+        "sampling.rows_sampled": 3528,
+        "fitting.resampled_means_calls": 42,
+        "pipeline.experiment_bootstrap_calls": 2,
+        "reconstruction.calls": 21,
+        "cli.dataset_csv_reads": 2,
+    }
+
+    def test_tracer_counts_the_staged_commands(self, tmp_path):
+        # 21 sequence sets of 168 rows, built by gen-sequences, simulate, fit
+        # and witness; fit and witness each read dataset.csv and run one
+        # bootstrap of 21 resampled datasets.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import tracer as tracing\n"
+            "import rbtlab.cli as cli\n"
+            "traced = tracing.Tracer()\n"
+            "tracing.install(traced)\n"
+            "codes = []\n"
+            "for command in ('gen-sequences', 'simulate', 'fit', 'reconstruct', 'witness'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+            "print(json.dumps({'codes': codes, 'counts': traced.counts}))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(rbtlab.__file__).resolve().parents[1])
+        path = [src, str(root / "perfbench"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * 5
+        assert {name: result["counts"].get(name) for name in self.COUNTS} == self.COUNTS
 
 
 class TestErrors:

@@ -237,12 +237,12 @@ class TestByteContract:
         # Every row key of the default configuration's 21 datasets, built a
         # length group at a time, equals the one-row key numpy makes of the
         # pair (seed, label hash).
-        from rbtlab.cli import _sequence_sets
         from rbtlab.config import RunConfig
+        from rbtlab.pipeline import experiment_design
 
         cfg = RunConfig.from_dict({})
         rows = 0
-        for _, _, label, seqs in _sequence_sets(cfg):
+        for _, _, label, seqs in experiment_design("hadamard", True, cfg.lengths(), cfg.repeats()):
             counts = {}
             for seq in seqs.sequences:
                 n = INFINITE if math.isinf(seq.length) else int(seq.length)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
+import io
 import json
 import math
 import sys
@@ -241,16 +241,21 @@ def _write_bin_lines(f, prefixes: list, bins: np.ndarray, tails: _Tails) -> None
 _QPT_ROWS = 12  # tomography rows: 4 input states x 3 observables
 
 
-def _row_prefixes(exp: Experiment, qpt_on: bool):
+def _has_qpt(cfg: RunConfig, exp: Experiment) -> bool:
+    """Whether the run has the 12 tomography rows: QPT on, a non-null target."""
+    return cfg.raw["qpt"]["enabled"] and exp.target_unitary is not None
+
+
+def _row_prefixes(exp: Experiment, qpt: bool):
     """Yield the ``role,j,n,tuple_id`` prefix of every dataset.csv row, one
     list per block of rows in file order: each decay dataset's length groups
-    in the order of its ``lengths()``, then the 12 tomography rows exactly
-    when QPT is on and the target has null data."""
+    in the order of its ``lengths()``, then the 12 tomography rows when
+    ``qpt``."""
     for (_role, j), ds in exp.decays.items():
         for n in ds.lengths():
             head = f"{ds.label},{'' if j is None else j},{_format_length(n)},"
             yield [head + row_id for row_id in ds.groups[n].row_ids]
-    if qpt_on and exp.target_unitary is not None:
+    if qpt:
         yield [f"qpt,{r},1,row{r}" for r in range(_QPT_ROWS)]
 
 
@@ -361,13 +366,14 @@ def _read_blocks(f, eol, prefixes: list, bins: np.ndarray, max_texts: int, diges
     prefix and bin id end: at most ``max_texts`` distinct texts of
     ``0-9.eE+-`` that ``np.array(texts, dtype=float)`` converts to numbers in
     [0, 1], and ``eol`` ending every line.  Such a block reads exactly as it
-    does line by line.  Returns ``(k, done)``: ``done`` when every block was
-    accepted, with ``k`` rows filled; else ``k`` is the row to read line by
-    line from, the last row of the last accepted block, whose run of lines
-    may go on in the next block.
+    does line by line.  Returns ``(k, offset)``: ``offset`` is None when
+    every block was accepted, with ``k`` rows filled; else ``k`` is the row
+    to read line by line from, the last row of the last accepted block
+    (whose run of lines may go on in the next block), and ``offset`` the
+    file byte it starts at, 0 to check the header too when ``eol`` is None.
     """
     if eol is None:
-        return 0, False
+        return 0, 0
     nb = bins.shape[1]
     tails = _Tails(nb, eol)
     means = np.empty(0)  # the value of each table row's mean text
@@ -387,7 +393,7 @@ def _read_blocks(f, eol, prefixes: list, bins: np.ndarray, max_texts: int, diges
         means = np.concatenate([means, values])
         return texts
 
-    k = 0
+    k, next_block, held_row = 0, f.tell(), None  # file offsets
     for block, nl in _blocks(f, nb, eol, digest):
         rows = len(nl) // nb
         if len(nl) % nb or k + rows > len(prefixes):
@@ -411,21 +417,23 @@ def _read_blocks(f, eol, prefixes: list, bins: np.ndarray, max_texts: int, diges
         if ids is None or _render(encoded, tails.take(ids).tolist()) != block:
             break
         bins[k : k + rows] = means[ids].reshape(rows, nb)
-        k += rows
+        k, held_row, next_block = k + rows, next_block + int(starts[-1, 0]), next_block + len(block)
     else:
-        return k, True
-    return max(k - 1, 0), False
+        return k, None
+    return (k - 1, held_row) if k else (0, next_block)
 
 
-def _text_rows(path: Path, first: int, where):
-    """The runs of :func:`_line_runs` from line ``first`` on, after the
-    header check."""
-    with path.open(newline="") as f:
-        header = next(csv.reader([f.readline()]), [])
+def _text_rows(f, offset: int, first: int, where):
+    """The runs of :func:`_line_runs` of the binary file ``f`` read as text
+    from byte ``offset``, where line ``first`` starts.  Reading from byte 0
+    checks the header first."""
+    f.seek(offset)
+    lines = io.TextIOWrapper(f, newline="")
+    if offset == 0:
+        header = next(csv.reader([lines.readline()]), [])
         if tuple(header) != DATASET_HEADER:
             raise ConfigError(f"unexpected header {header}", path=where(1))
-        yield from _line_runs(itertools.islice(f, first - 2, None), first, where)
-
+    yield from _line_runs(lines, first, where)
 
 
 def _check_prefix(prefix: str, want, where: str) -> None:
@@ -482,30 +490,30 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
         decays[(role, j)] = lay_out(seqs, bins[start : start + len(seqs)], label, shots, bin_size, cfg.seed)
         start += len(seqs)
     exp = Experiment(name, unitary, decays, cfg.noise_model(), cfg.spam_model())
-    prefixes = [prefix for block in _row_prefixes(exp, cfg.raw["qpt"]["enabled"]) for prefix in block]
+    prefixes = [prefix for block in _row_prefixes(exp, _has_qpt(cfg, exp)) for prefix in block]
     bins = bins[: len(prefixes)]
-    qpt = QptDataset(bins[n_rows:], shots, bin_size, cfg.seed) if len(prefixes) > n_rows else None
+    qpt = QptDataset(bins[n_rows:]) if len(prefixes) > n_rows else None
 
     digest = hashlib.sha256()
     with path.open("rb") as f:
         header = f.readline()
         digest.update(header)
-        k, done = _read_blocks(f, _EOLS.get(header), prefixes, bins, bin_size + 1, digest)
+        k, offset = _read_blocks(f, _EOLS.get(header), prefixes, bins, bin_size + 1, digest)
         for chunk in iter(partial(f.read, _BLOCK_BYTES), b""):
             digest.update(chunk)
-    if not done:
-        for start, prefix, texts in _text_rows(path, 2 + k * n_bins, where):
-            want = prefixes[k] if k < len(prefixes) else None
-            if prefix != want:
-                _check_prefix(prefix, want, where(start))
-            means = _row_means(*texts, start, where)
-            if len(means) != n_bins:
-                raise ConfigError(
-                    f"{len(means)} bins where shots // bin_size is {n_bins}",
-                    path=where(start),
-                )
-            bins[k] = means
-            k += 1
+        if offset is not None:
+            for start, prefix, texts in _text_rows(f, offset, 2 + k * n_bins, where):
+                want = prefixes[k] if k < len(prefixes) else None
+                if prefix != want:
+                    _check_prefix(prefix, want, where(start))
+                means = _row_means(*texts, start, where)
+                if len(means) != n_bins:
+                    raise ConfigError(
+                        f"{len(means)} bins where shots // bin_size is {n_bins}",
+                        path=where(start),
+                    )
+                bins[k] = means
+                k += 1
     if k < len(prefixes):
         raise ConfigError(f"ends before row {prefixes[k]} of the design", path=path.name)
     return exp, qpt, digest.hexdigest()
@@ -751,7 +759,9 @@ def _negativity_rows(witness_payload: dict, target_name: str):
 
 def _artifact(out: Path, name: str, written: list) -> Path:
     """``out / name``, registered in ``written`` so that a failed run
-    removes it."""
+    removes it.  ``out`` is made here, so a run refused before its first
+    artifact leaves no directory."""
+    out.mkdir(parents=True, exist_ok=True)
     path = out / name
     written.append(path)
     return path
@@ -769,14 +779,13 @@ def _simulate_all(cfg: RunConfig):
         repeats=cfg.repeats(),
     )
     qpt = None
-    if cfg.raw["qpt"]["enabled"] and exp.target_unitary is not None:
+    if _has_qpt(cfg, exp):
         qpt = sample_qpt_dataset(
             exp.applied_target_channel(),
             assignment_fidelity=cfg.spam_model().assignment_fidelity,
             shots=cfg.raw["shots"],
             bin_size=cfg.raw["bin_size"],
             seed=cfg.seed,
-            label="qpt",
         )
     return exp, qpt
 
@@ -903,6 +912,7 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> 
     from .pulses import (
         DuffingModel,
         RotationSpec,
+        drag_correction,
         gaussian_envelope,
         phase_ramp,
         simulate_duffing,
@@ -927,10 +937,12 @@ def cmd_pulse_scan(cfg: RunConfig, out: Path, stage_in: Path, written: list) -> 
             pulse = phase_ramp(env, dt, RotationSpec(axis=target_axis, angle=angle), order)
             infid = unitary_infidelity(simulate_qubit(pulse), target_u)
             rows.append(("qubit", repr(dt), order, 0, repr(infid), repr(0.0)))
-            for drag in (0, 1):
-                superop, leakage = simulate_duffing(
-                    pulse, model, drag=bool(drag), drag_coefficient=pcfg["drag_coefficient"]
-                )
+            with np.errstate(over="ignore"):  # a tiny anharmonicity overflows the detunings
+                drag_pulse = drag_correction(pulse, model, pcfg["drag_coefficient"])
+            if not np.isfinite(drag_pulse.phases).all():
+                raise ConfigError("DRAG-corrected phases not finite", path="$.pulse_scan.anharmonicity_hz")
+            for drag, played in enumerate((pulse, drag_pulse)):
+                superop, leakage = simulate_duffing(played, model)
                 infid_d = 1.0 - avg_fidelity(superop, target_u)
                 rows.append(("duffing", repr(dt), order, drag, repr(infid_d), repr(leakage)))
     _write_csv(
@@ -985,7 +997,6 @@ def main(argv=None) -> int:
             data["seed"] = args.seed
             cfg = RunConfig.from_dict(data)
         out = args.out
-        out.mkdir(parents=True, exist_ok=True)
         stage_in = getattr(args, "stage_input", None) or out
         COMMANDS[args.command](cfg, out, stage_in, written)
     except ConfigError as exc:

@@ -566,19 +566,19 @@ def joint_fits(pairs) -> list:
     return out
 
 
-def _resample_bins(bins: np.ndarray, replications: int, rng, reduce, draws=None):
-    """One ``(replications,)`` array of ``reduce`` over bin resamples.
+def _resample_bins(bins: np.ndarray, replications: int, rng, reduce, draws=None, shape=()):
+    """One ``(replications, *shape)`` array of ``reduce`` over bin resamples.
 
     Each replication draws ``draws`` bins (default: as many as a row has)
     with replacement from every row of ``bins``; ``reduce`` maps a
-    ``(k, rows, draws)`` chunk of draws to its ``k`` values.  A chunk holds
-    at most ``_RESAMPLE_CHUNK`` replications and ``_RESAMPLE_ELEMENTS``
-    index elements; the result does not depend on the chunking.
+    ``(k, rows, draws)`` chunk of draws to its ``k`` values of ``shape``.  A
+    chunk holds at most ``_RESAMPLE_CHUNK`` replications and
+    ``_RESAMPLE_ELEMENTS`` index elements; the result does not depend on the chunking.
     """
     rows, nb = bins.shape
     draws = draws or nb
     step = max(1, min(_RESAMPLE_CHUNK, _RESAMPLE_ELEMENTS // (rows * draws)))
-    out = np.empty(replications)
+    out = np.empty((replications, *shape))
     for start in range(0, replications, step):
         stop = min(start + step, replications)
         idx = rng.integers(0, nb, size=(stop - start, rows, draws))

@@ -115,11 +115,12 @@ def unital_part(e: np.ndarray) -> np.ndarray:
     """Discard the traceless components of ``E(I)``.
 
     Replaces the first column by ``(1, 0, 0, 0)^T`` and leaves every other
-    column untouched.  Acts as the identity on unital maps and is idempotent.
+    column untouched, of one transfer matrix or of each in a stack.  Acts
+    as the identity on unital maps and is idempotent.
     """
     out = np.array(e, dtype=float, copy=True)
-    out[:, 0] = 0.0
-    out[0, 0] = 1.0
+    out[..., 0] = 0.0
+    out[..., 0, 0] = 1.0
     return out
 
 

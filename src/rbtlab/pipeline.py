@@ -469,6 +469,22 @@ def split_half_bootstrap(
     )
 
 
+def _witness_report(e1, e2, stack: np.ndarray, samples_per_config: int) -> WitnessReport:
+    """The witness that ``e1`` fixes, with its eigenvalue multiplicity, its
+    expectation under ``e2`` and the percentile CI of its expectations under
+    the bootstrap ``stack`` of transfer matrices, one per replication."""
+    witness = build_witness(e1)
+    lo, hi = percentile_ci(witness_expectation_batch(witness, stack))
+    return WitnessReport(
+        witness=witness,
+        expectation=evaluate_witness(witness, e2),
+        ci=(float(lo), float(hi)),
+        replications=len(stack),
+        samples_per_config=samples_per_config,
+        eig_multiplicity=eig_multiplicity(e1),
+    )
+
+
 def rbt_witness_report(halves: SplitHalves, variant: str = "raw") -> WitnessReport:
     """Split-half cross-validated negativity witness for an overlap bundle.
 
@@ -482,17 +498,8 @@ def rbt_witness_report(halves: SplitHalves, variant: str = "raw") -> WitnessRepo
         raise ValueError(f"unknown witness variant {variant!r}")
     if variant not in halves.first:
         raise ValueError("corrected witness variants need null-operation data")
-    e1 = halves.first[variant]
-    witness = build_witness(e1)
-    lo, hi = percentile_ci(witness_expectation_batch(witness, halves.boot.stack(variant)))
-    return WitnessReport(
-        witness=witness,
-        expectation=evaluate_witness(witness, halves.second[variant]),
-        ci=(float(lo), float(hi)),
-        replications=halves.boot.replications,
-        samples_per_config=halves.samples_per_config,
-        eig_multiplicity=eig_multiplicity(e1),
-    )
+    first, second = halves.first[variant], halves.second[variant]
+    return _witness_report(first, second, halves.boot.stack(variant), halves.samples_per_config)
 
 
 def qpt_point_estimate(ds: QptDataset, assumed_assignment_fidelity: float | None):
@@ -513,28 +520,18 @@ def qpt_witness_report(
     row and re-inverts; the witness fixed by the first half never changes.
     """
     first, second = split_halves(ds)
-    e1 = unital_part(qpt_point_estimate(first, assumed_assignment_fidelity))
-    witness = build_witness(e1)
-    e2 = unital_part(qpt_point_estimate(second, assumed_assignment_fidelity))
 
-    def witness_values(drawn):
+    def stack(drawn):
         # Each replication's per-row means, re-inverted as one stack.
-        stack = qpt_linear_inversion(
-            (2.0 * drawn.mean(axis=2) - 1.0).reshape(-1, 4, 3), assumed_assignment_fidelity
-        )
-        stack[:, :, 0] = np.array([1.0, 0.0, 0.0, 0.0])  # unital part, batched
-        return witness_expectation_batch(witness, stack)
+        tables = (2.0 * drawn.mean(axis=2) - 1.0).reshape(-1, 4, 3)
+        return unital_part(qpt_linear_inversion(tables, assumed_assignment_fidelity))
 
     rng = stream_generator(seed, "bootstrap", second.label)
-    values = _resample_bins(second.bins, replications, rng, witness_values)
-    lo, hi = percentile_ci(values)
-    return WitnessReport(
-        witness=witness,
-        expectation=evaluate_witness(witness, e2),
-        ci=(float(lo), float(hi)),
-        replications=replications,
-        samples_per_config=second.bins.shape[1],
-        eig_multiplicity=eig_multiplicity(e1),
+    return _witness_report(
+        unital_part(qpt_point_estimate(first, assumed_assignment_fidelity)),
+        unital_part(qpt_point_estimate(second, assumed_assignment_fidelity)),
+        _resample_bins(second.bins, replications, rng, stack, shape=(4, 4)),
+        second.bins.shape[1],
     )
 
 

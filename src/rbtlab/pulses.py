@@ -81,10 +81,6 @@ class PulseSpec:
     def n_samples(self) -> int:
         return int(self.amplitudes.size)
 
-    @property
-    def samples(self):
-        return list(zip(self.amplitudes.tolist(), self.phases.tolist()))
-
 
 @dataclass(frozen=True)
 class DuffingModel:

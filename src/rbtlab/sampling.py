@@ -38,8 +38,9 @@ __all__ = [
 
 
 def _stream_keys(labels, lasts) -> list:
-    """``_stream_key(*labels, x)`` for each ``x`` of ``lasts``: every hash
-    continues one copy of the hash state of the shared ``labels``."""
+    """For each ``x`` of ``lasts``, blake2b-64 of ``(*labels, x)`` joined by
+    U+001F, as an integer: every hash continues one copy of the hash state
+    of the shared ``labels``."""
     head = hashlib.blake2b("".join(f"{x}\x1f" for x in labels).encode(), digest_size=8)
     keys = []
     for x in lasts:
@@ -47,11 +48,6 @@ def _stream_keys(labels, lasts) -> list:
         h.update(str(x).encode())
         keys.append(int.from_bytes(h.digest(), "big"))
     return keys
-
-
-def _stream_key(*labels) -> int:
-    """blake2b-64 of the labels joined by U+001F, as an integer."""
-    return _stream_keys(labels[:-1], labels[-1:])[0]
 
 
 def stream_generator(seed: int, *labels) -> np.random.Generator:
@@ -63,7 +59,8 @@ def stream_generator(seed: int, *labels) -> np.random.Generator:
     significant bits.  The rounded key is part of the byte contract of every
     simulated dataset: a key built exactly as uint64 would change the draws.
     """
-    return np.random.Generator(np.random.Philox(key=[int(seed), _stream_key(*labels)]))
+    key = _stream_keys(labels[:-1], labels[-1:])[0]
+    return np.random.Generator(np.random.Philox(key=[int(seed), key]))
 
 
 def _philox_keys(seed: int, hashes: np.ndarray) -> np.ndarray:
@@ -201,6 +198,21 @@ def _survival_probabilities(
     return out
 
 
+def _draw_counts(block: np.ndarray, probs, bin_size: int, seed: int, labels: tuple) -> None:
+    """Write into each row ``r`` of the float64 ``block`` the counts that
+    ``stream_generator(seed, *labels, r).binomial(bin_size, probs[r])``
+    draws, from one Philox generator re-keyed per row.  The counts are
+    exact, so dividing the block in place rounds as dividing them does."""
+    bitgen = np.random.Philox(key=[0, 0])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    hashes = np.array(_stream_keys(labels, range(len(block))), dtype=np.uint64)
+    for key, row, p in zip(_philox_keys(seed, hashes), block, probs):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        row[...] = rng.binomial(bin_size, p, size=block.shape[1])
+
+
 def lay_out(
     seq_set: SequenceSet, bins: np.ndarray, label: str, shots: int, bin_size: int, seed: int
 ) -> DecayDataset:
@@ -234,13 +246,11 @@ def sample_dataset(
     Each sequence row gets its own RNG substream keyed by
     ``(seed, label, length, row position)``; bins record the per-bin mean of
     ``bin_size`` Bernoulli draws at the sequence's survival probability.
-    One Philox generator is re-keyed per row instead of built per row; it
-    draws what ``stream_generator(seed, label, length, row)`` would.
 
     The bins fill ``out``, a float64 ``(rows, shots // bin_size)`` block
-    that is allocated when not given and laid out by :func:`lay_out`.  Each
-    row's counts are written into the block and the block is divided by
-    ``bin_size`` in place, which rounds as dividing the integer counts does.
+    that is allocated when not given and laid out by :func:`lay_out`.
+    :func:`_draw_counts` writes each length group's counts into its rows,
+    and the block is then divided by ``bin_size`` in place.
     """
     if shots % bin_size:
         raise ValueError(f"shots={shots} not divisible by bin_size={bin_size}")
@@ -253,17 +263,8 @@ def sample_dataset(
     ds = lay_out(seq_set, out, label, shots, bin_size, seed)
     probs = _survival_probabilities(seqs, target, noise, spam, noisy_target)
     lengths = np.array([seq.length for seq in seqs])
-    bitgen = np.random.Philox(key=[0, 0])
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
     for n, grp in ds.groups.items():
-        block = grp.bins
-        hashes = np.array(_stream_keys((label, n), range(grp.n_rows)), dtype=np.uint64)
-        keys = _philox_keys(seed, hashes)
-        for r, p in enumerate(probs[lengths == n].tolist()):
-            fresh["state"]["key"] = keys[r]
-            bitgen.state = fresh
-            block[r] = rng.binomial(bin_size, p, size=n_bins)
+        _draw_counts(grp.bins, probs[lengths == n].tolist(), bin_size, seed, (label, n))
     out /= bin_size
     return ds
 
@@ -287,13 +288,11 @@ class QptDataset:
     """Binned tomography records: one row per (input state, observable).
 
     ``bins`` has shape (12, n_bins) and stores per-bin frequencies of the +1
-    outcome; expectation estimates are ``2 * mean - 1``.
+    outcome; expectation estimates are ``2 * mean - 1``.  ``label`` keys the
+    rows' sampling streams and the witness bootstrap's stream.
     """
 
     bins: np.ndarray
-    shots: int
-    bin_size: int
-    seed: int
     label: str = "qpt"
 
     def expectations(self) -> np.ndarray:
@@ -316,14 +315,12 @@ def sample_qpt_dataset(
     seed: int = 0,
     label: str = "qpt",
 ) -> QptDataset:
-    """Shot-sampled tomography of a channel with readout assignment error."""
+    """Shot-sampled tomography of a channel with readout assignment error,
+    row ``r`` drawn by :func:`_draw_counts` from the stream ``(seed, label, r)``."""
     if shots % bin_size:
         raise ValueError(f"shots={shots} not divisible by bin_size={bin_size}")
-    n_bins = shots // bin_size
     truth = qpt_true_expectations(channel, assignment_fidelity).ravel()
-    probs = 0.5 * (1.0 + truth)
-    bins = np.empty((12, n_bins))
-    for row, p in enumerate(probs):
-        rng = stream_generator(seed, label, row)
-        bins[row] = rng.binomial(bin_size, min(max(p, 0.0), 1.0), size=n_bins) / bin_size
-    return QptDataset(bins=bins, shots=shots, bin_size=bin_size, seed=seed, label=label)
+    bins = np.empty((len(truth), shots // bin_size))
+    _draw_counts(bins, np.clip(0.5 * (1.0 + truth), 0.0, 1.0).tolist(), bin_size, seed, (label,))
+    bins /= bin_size
+    return QptDataset(bins, label)

@@ -49,40 +49,35 @@ def split_halves(ds):
     so it is deterministic and mirrors an experiment's chronology.  Odd bin
     counts are rejected.
 
-    The halves of a :class:`DecayDataset` are read-only views of its bins,
-    so splitting copies no data; a group's mean is taken over a contiguous
-    copy of it (:meth:`LengthGroup.mean`), so a half reads bit for bit as
-    its copy.
-    The halves of a :class:`QptDataset` stay copies: its 12 rows cost
-    nothing to copy, and :meth:`QptDataset.expectations` then needs no such
-    rule.
+    The halves of a :class:`DecayDataset` or a :class:`QptDataset` are
+    read-only views of its bins, so splitting copies no data.  A length
+    group's mean is taken over a contiguous copy of it
+    (:meth:`LengthGroup.mean`), so a half reads bit for bit as its copy; the
+    row means of a tomography half (:meth:`QptDataset.expectations`) need
+    no copy, since each row of a half is contiguous.
     """
     if isinstance(ds, QptDataset):
-        nb = ds.bins.shape[1]
-        if nb % 2:
-            raise ValueError(f"cannot halve an odd number of bins ({nb})")
-        half = nb // 2
-        first = dataclasses.replace(ds, bins=ds.bins[:, :half].copy())
-        second = dataclasses.replace(ds, bins=ds.bins[:, half:].copy())
-        return first, second
+        return tuple(dataclasses.replace(ds, bins=half) for half in _split_bins(ds.bins))
     if isinstance(ds, DecayDataset):
-        first_groups = {}
-        second_groups = {}
+        first, second = {}, {}
         for n, grp in ds.groups.items():
-            if grp.n_bins % 2:
-                raise ValueError(f"cannot halve an odd number of bins ({grp.n_bins})")
-            half = grp.n_bins // 2
-            first_groups[n] = LengthGroup(grp.row_ids, _read_only(grp.bins[:, :half]))
-            second_groups[n] = LengthGroup(grp.row_ids, _read_only(grp.bins[:, half:]))
-        first = dataclasses.replace(ds, groups=first_groups, label=ds.label + "/half1")
-        second = dataclasses.replace(ds, groups=second_groups, label=ds.label + "/half2")
-        return first, second
+            first[n], second[n] = (LengthGroup(grp.row_ids, half) for half in _split_bins(grp.bins))
+        return (
+            dataclasses.replace(ds, groups=first, label=ds.label + "/half1"),
+            dataclasses.replace(ds, groups=second, label=ds.label + "/half2"),
+        )
     raise TypeError(f"cannot split {type(ds).__name__}")
 
 
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
+def _split_bins(bins: np.ndarray) -> tuple:
+    """The first and second half of every row's bins, as read-only views."""
+    nb = bins.shape[1]
+    if nb % 2:
+        raise ValueError(f"cannot halve an odd number of bins ({nb})")
+    halves = bins[:, : nb // 2], bins[:, nb // 2 :]
+    for half in halves:
+        half.flags.writeable = False
+    return halves
 
 
 def build_witness(e1: np.ndarray) -> np.ndarray:

@@ -263,15 +263,16 @@ class TestConfig:
             ("pulse-scan", {"pulse_scan": {"sample_counts": [8, 3]}}, "$.pulse_scan.sample_counts[1]"),
             ("pulse-scan", {"pulse_scan": {"sample_counts": [2]}}, "$.pulse_scan.sample_counts[0]"),
             ("pulse-scan", {"pulse_scan": {"anharmonicity_hz": 0}}, "$.pulse_scan.anharmonicity_hz"),
+            ("pulse-scan", {"pulse_scan": {"anharmonicity_hz": 1e-300}}, "$.pulse_scan.anharmonicity_hz"),
         ],
         ids=["qpt-no-contrast", "qpt-almost-no-contrast", "three-samples", "two-samples",
-             "no-anharmonicity"],
+             "no-anharmonicity", "tiny-anharmonicity"],
     )
     def test_setting_the_run_refuses_rejected(self, tmp_path, capsys, command, edit, path):
         # Each passed the schema and then raised with exit 1: linear-inversion
         # tomography refuses |2f - 1| < 1e-9, a pulse of fewer than 4 samples
         # is shorter than its 4-sigma envelope, and the DRAG correction
-        # divides by the anharmonicity.
+        # divides by the anharmonicity, so a tiny one overflows its phases.
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(TINY_CONFIG, **edit)))
         out = tmp_path / "out"
@@ -1100,9 +1101,9 @@ class TestDatasetCsv:
         starts = []
         text_rows = cli._text_rows
 
-        def counted(path, first, where):
+        def counted(f, offset, first, where):
             starts.append(first)
-            return text_rows(path, first, where)
+            return text_rows(f, offset, first, where)
 
         monkeypatch.setattr(cli, "_text_rows", counted)
         read = cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
@@ -1154,12 +1155,35 @@ class TestDatasetCsv:
         starts = []
         text_rows = cli._text_rows
 
-        def counted(path, first, where):
+        def counted(f, offset, first, where):
             starts.append(first)
-            return text_rows(path, first, where)
+            return text_rows(f, offset, first, where)
 
         monkeypatch.setattr(cli, "_text_rows", counted)
         return starts
+
+    @pytest.mark.parametrize("header_end", ["\r\n", "\r"], ids=["late-row", "header-cr"])
+    def test_line_by_line_reading_opens_the_file_once(
+        self, written, monkeypatch, text_row_starts, header_end
+    ):
+        # The line-by-line reader goes on from the held row in the file the
+        # block reader opened, instead of opening it again and decoding
+        # every line before that row.
+        _, _, path = written
+        header, *lines = path.read_text().splitlines()
+        lines[-1] = edit_bin_id(lines[-1], "0" + lines[-1].rsplit(",", 2)[1])
+        path.write_bytes((header + header_end + "".join(line + "\r\n" for line in lines)).encode())
+        opens = []
+        path_open = Path.open
+
+        def counted_open(self, *args, **kwargs):
+            opens.append(self.name)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted_open)
+        cli._read_dataset_csv(path, RunConfig.from_dict(TINY_CONFIG))
+        assert len(text_row_starts) == 1
+        assert opens == ["dataset.csv"]
 
     def test_more_distinct_means_than_a_bin_takes_read_line_by_line(self, written, text_row_starts):
         # A bin of bin_size shots takes bin_size + 1 values, so more distinct
@@ -1270,7 +1294,9 @@ class TestTracedRun:
             "for command in ('gen-sequences', 'simulate', 'fit', 'reconstruct', 'witness'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        codes.append(cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
-            "print(json.dumps({'codes': codes, 'counts': traced.counts}))\n"
+            "spans = [span[0] for span in traced.spans]\n"
+            "qpt = spans.count('sampling.sample_qpt_dataset')\n"
+            "print(json.dumps({'codes': codes, 'counts': traced.counts, 'qpt_spans': qpt}))\n"
         )
         root = Path(__file__).resolve().parents[1]
         src = str(Path(rbtlab.__file__).resolve().parents[1])
@@ -1284,6 +1310,8 @@ class TestTracedRun:
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["codes"] == [0] * 5
         assert {name: result["counts"].get(name) for name in self.COUNTS} == self.COUNTS
+        # simulate draws the tomography rows once, through the wrapped name.
+        assert result["qpt_spans"] == 1
 
 
 class TestErrors:

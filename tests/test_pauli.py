@@ -128,6 +128,13 @@ class TestUnitalPart:
         u = superop_from_unitary(random_unitary(rng))
         assert np.allclose(unital_part(u), u, atol=1e-12)
 
+    def test_stack_equals_each_matrix(self, rng):
+        stack = np.stack([random_cptp_superop(rng) for _ in range(5)])
+        before = stack.copy()
+        expected = np.stack([unital_part(e) for e in stack])
+        assert unital_part(stack).tobytes() == expected.tobytes()
+        assert np.array_equal(stack, before)
+
 
 class TestOverlap:
     def test_self_overlap_is_four(self, rng):

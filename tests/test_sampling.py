@@ -339,6 +339,26 @@ class TestQpt:
         table = qpt_true_expectations(np.eye(4), assignment_fidelity=0.95)
         assert np.allclose(table, 0.9 * QPT_INPUT_STATES[:, 1:])
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 5])
+    @pytest.mark.parametrize("shots, bin_size", [(10_000, 100), (400, 100), (300, 3)])
+    @pytest.mark.parametrize(
+        "channel, fidelity",
+        [(depolarizing(0.9), 0.95), (HADAMARD, 1.0), (np.diag([1.0, 1.1, -1.1, 1.1]), 1.0)],
+        ids=["depolarizing", "hadamard", "clipped"],
+    )
+    def test_bins_match_per_row_reference(self, seed, shots, bin_size, channel, fidelity):
+        # Row r draws from a fresh stream_generator(seed, label, r) at its +1
+        # probability clipped to [0, 1]; the unphysical map's probabilities
+        # of 1.05 and -0.05 are clipped.
+        ds = sample_qpt_dataset(channel, fidelity, shots=shots, bin_size=bin_size, seed=seed)
+        probs = 0.5 * (1.0 + qpt_true_expectations(channel, fidelity).ravel())
+        expected = [
+            stream_generator(seed, "qpt", r).binomial(bin_size, min(max(p, 0.0), 1.0), shots // bin_size)
+            / bin_size
+            for r, p in enumerate(probs)
+        ]
+        assert ds.bins.tobytes() == np.array(expected).tobytes()
+
     def test_sampling_reproducible_and_near_truth(self):
         chan = depolarizing(0.9)
         a = sample_qpt_dataset(chan, 0.95, shots=10_000, bin_size=100, seed=5)

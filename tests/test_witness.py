@@ -80,11 +80,13 @@ class TestSplitHalves:
 
     def test_decay_halves_are_read_only_views(self):
         ds = _random_dataset({1: (12, 100), INFINITE: (12, 100)})
-        for half in split_halves(ds):
-            for n, grp in half.groups.items():
-                assert np.shares_memory(grp.bins, ds.groups[n].bins)
-                with pytest.raises(ValueError, match="read-only"):
-                    grp.bins[0, 0] = 0.5
+        qpt = sample_qpt_dataset(np.eye(4), 0.95, shots=400, bin_size=100, seed=1)
+        views = [(grp.bins, ds.groups[n].bins) for half in split_halves(ds) for n, grp in half.groups.items()]
+        views += [(half.bins, qpt.bins) for half in split_halves(qpt)]
+        for view, bins in views:
+            assert np.shares_memory(view, bins)
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 0.5
 
     @pytest.mark.parametrize(
         "shape", [(1, 100), (12, 2), (1728, 100)], ids=["one-row", "two-bins", "paper-group"]

@@ -25,7 +25,8 @@ configuration implies, built from the same sequence sets as
 with its line.  The same pass hashes the bytes, and ``fit`` stamps
 ``bootstrap.npz`` with that digest.
 Exit codes: 0 success, 2 configuration or artifact schema error, 3 numerical
-failure (including an ill-conditioned null-operation estimate), 4 I/O error.
+failure (a main or split-half point fit that did not converge, or an
+ill-conditioned null-operation estimate), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 import sys
 import zipfile
 import zlib
+from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -70,7 +72,7 @@ from .reconstruction import (  # noqa: F401
     hinton_records,
     reconstruct_unital,
 )
-from .sampling import DecayDataset, QptDataset, lay_out, sample_qpt_dataset
+from .sampling import QptDataset, lay_out, sample_qpt_dataset
 # perfbench/tracer.py wraps cli.exhaustive_set, so the name stays here.
 from .sequences import INFINITE, exhaustive_set  # noqa: F401
 from .witness import WitnessReport
@@ -489,7 +491,7 @@ def _read_dataset_csv(path: Path, cfg: RunConfig):
     for role, j, label, seqs in design:
         decays[(role, j)] = lay_out(seqs, bins[start : start + len(seqs)], label, shots, bin_size, cfg.seed)
         start += len(seqs)
-    exp = Experiment(name, unitary, decays, cfg.noise_model(), cfg.spam_model())
+    exp = Experiment(name, unitary, decays, cfg.noise_model())
     prefixes = [prefix for block in _row_prefixes(exp, _has_qpt(cfg, exp)) for prefix in block]
     bins = bins[: len(prefixes)]
     qpt = QptDataset(bins[n_rows:]) if len(prefixes) > n_rows else None
@@ -552,6 +554,13 @@ def _witness_payload(report: WitnessReport) -> dict:
 # Stage computations
 
 
+def _require_converged(fits: list, which: str = "") -> None:
+    """Raise NumericalError, naming ``which`` fits, if one did not converge."""
+    bad = [f for f in fits if not f.converged]
+    if bad:
+        raise NumericalError(f"{len(bad)} joint fits{which} failed to converge")
+
+
 def _compute_fits(cfg, exp: Experiment) -> ExperimentBootstrap:
     """Point fits and the main bootstrap; a point fit that did not converge
     raises NumericalError."""
@@ -563,9 +572,7 @@ def _compute_fits(cfg, exp: Experiment) -> ExperimentBootstrap:
         samples_per_config=cfg.raw["bootstrap"]["samples_per_config"],
         null_datasets=exp.null_datasets,
     )
-    bad = [f for f in boot.fits + (boot.null_fits or []) if not f.converged]
-    if bad:
-        raise NumericalError(f"{len(bad)} joint fits failed to converge")
+    _require_converged(boot.fits + (boot.null_fits or []))
     return boot
 
 
@@ -695,17 +702,17 @@ def _reconstruction_json(cfg, boot, rec: Reconstruction) -> dict:
             "ci_low": [float(x) for x in rec.overlaps.ci_low],
             "ci_high": [float(x) for x in rec.overlaps.ci_high],
         },
-        "e_prime": superop_to_list(rec.unital),
+        "e_prime": superop_to_list(rec.point["raw"]),
         "e_prime_ci_low": superop_to_list(mat_lo),
         "e_prime_ci_high": superop_to_list(mat_hi),
         "corrected_left": None,
         "corrected_right": None,
         "fidelity": rec.fidelity,
     }
-    if rec.null_unital is not None:
-        payload["null_e_prime"] = superop_to_list(rec.null_unital)
-        payload["corrected_left"] = superop_to_list(rec.corrected_left)
-        payload["corrected_right"] = superop_to_list(rec.corrected_right)
+    if "null" in rec.point:
+        payload["null_e_prime"] = superop_to_list(rec.point["null"])
+        payload["corrected_left"] = superop_to_list(rec.point["left"])
+        payload["corrected_right"] = superop_to_list(rec.point["right"])
     return payload
 
 
@@ -716,33 +723,19 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _decay_curve_rows(labeled_fits, reference: DecayDataset):
+def _decay_curve_rows(exp: Experiment, boot: ExperimentBootstrap):
     """Plot-ready decay curves: measured per-length means next to the fitted
-    model value, for all overlap experiments plus the reference."""
-    for role, j, ds, fit in labeled_fits:
+    model value, for every decay dataset in design order.  The reference's
+    model is the first target fit's at its reference rate."""
+    first = boot.fits[0]
+    fits = {"target": boot.fits, "null": boot.null_fits, "reference": [replace(first, rate=first.ref_rate)]}
+    for (role, j), ds in exp.decays.items():
+        fit = fits[role][0 if j is None else j - 1]
+        head = (exp.target_name if role == "target" else role, "" if j is None else j)
         means = ds.means()
         for n in ds.lengths():
             model = fit.offset if math.isinf(n) else fit.scale * fit.rate ** n + fit.offset
-            yield role, j, _format_length(n), repr(float(means[n])), repr(float(model))
-    first_fit = labeled_fits[0][3]
-    ref_means = reference.means()
-    for n in reference.lengths():
-        model = (
-            first_fit.offset
-            if math.isinf(n)
-            else first_fit.scale * first_fit.ref_rate ** n + first_fit.offset
-        )
-        yield "reference", "", _format_length(n), repr(float(ref_means[n])), repr(float(model))
-
-
-def _labeled_fits(exp: Experiment, boot: ExperimentBootstrap):
-    """(name, j, dataset, point fit) of every overlap dataset, in design order."""
-    fits = {"target": boot.fits, "null": boot.null_fits}
-    return [
-        (exp.target_name if role == "target" else role, j, ds, fits[role][j - 1])
-        for (role, j), ds in exp.decays.items()
-        if j is not None
-    ]
+            yield *head, _format_length(n), repr(float(means[n])), repr(float(model))
 
 
 def _negativity_rows(witness_payload: dict, target_name: str):
@@ -802,7 +795,7 @@ def _fit_stage(cfg, out: Path, written: list, exp: Experiment):
     _write_csv(
         _artifact(out, "decay_curves.csv", written),
         ("role", "j", "n", "measured", "model"),
-        _decay_curve_rows(_labeled_fits(exp, boot), exp.reference),
+        _decay_curve_rows(exp, boot),
     )
     return boot
 
@@ -817,7 +810,7 @@ def _reconstruct_stage(cfg, out: Path, written: list, boot: ExperimentBootstrap)
         ("row", "col", "magnitude", "sign", "accessible"),
         (
             (r["row"], r["col"], repr(r["magnitude"]), r["sign"], int(r["accessible"]))
-            for r in hinton_records(rec.unital)
+            for r in hinton_records(rec.point["raw"])
         ),
     )
     return rec
@@ -838,6 +831,8 @@ def _witness_stage(cfg, out: Path, written: list, exp: Experiment, qpt):
             seed=cfg.seed,
             null_datasets=null_datasets if needs_null else None,
         )
+        _require_converged(halves.first_fits, " of the first halves")
+        _require_converged(halves.boot.fits + (halves.boot.null_fits or []), " of the second halves")
         for variant in variants:
             report = rbt_witness_report(halves, variant=variant)
             payload["rbt"][variant] = _witness_payload(report)

@@ -482,11 +482,7 @@ def _fit_batches(problems: list) -> list:
 def curve_arrays(ds: DecayDataset):
     """(finite lengths, finite per-length means, infinite-length mean) of a
     dataset; the surrogate is pooled into a single pseudo-observation."""
-    fins = ds.finite_lengths()
-    n = np.array(fins, dtype=np.int64)
-    y = np.array([ds.groups[l].mean() for l in fins])
-    inf_y = ds.groups[INFINITE].mean() if INFINITE in ds.groups else None
-    return n, y, inf_y
+    return _split_inf(ds.means())
 
 
 def _starts(n_o, y_o, inf_o, n_r, y_r, inf_r):
@@ -615,7 +611,7 @@ def resampled_means(
 def _split_inf(means_by_length):
     fins = sorted(n for n in means_by_length if not math.isinf(n))
     n = np.array(fins, dtype=np.int64)
-    y = np.stack([means_by_length[l] for l in fins], axis=1)
+    y = np.stack([means_by_length[l] for l in fins], axis=-1)
     inf_y = means_by_length.get(INFINITE)
     return n, y, inf_y
 

@@ -135,7 +135,6 @@ class Experiment:
     target_unitary: np.ndarray | None
     decays: dict
     noise: NoiseModel
-    spam: SpamModel
 
     def _overlaps(self, role: str) -> dict:
         return {j: ds for (r, j), ds in self.decays.items() if r == role}
@@ -210,9 +209,7 @@ def simulate_experiment(
             out=bins[start : start + len(seqs)],
         )
         start += len(seqs)
-    return Experiment(
-        target_name=name, target_unitary=unitary, decays=decays, noise=noise, spam=spam
-    )
+    return Experiment(target_name=name, target_unitary=unitary, decays=decays, noise=noise)
 
 
 def fit_overlaps(datasets: dict, reference: DecayDataset) -> list:
@@ -289,10 +286,6 @@ class ExperimentBootstrap:
         object.__setattr__(self, "unital", unital)
         object.__setattr__(self, "corrected_left", left)
         object.__setattr__(self, "corrected_right", right)
-
-    @property
-    def replications(self) -> int:
-        return self.rates.shape[0]
 
     def overlap_samples(self) -> np.ndarray:
         return decay_to_overlap(self.rates)
@@ -388,14 +381,7 @@ def build_reconstruction(
     }
     if "null" in point:
         fidelity["null_condition_number"] = float(np.linalg.cond(point["null"]))
-    return Reconstruction(
-        unital=point["raw"],
-        overlaps=overlaps,
-        null_unital=point.get("null"),
-        corrected_left=point.get("left"),
-        corrected_right=point.get("right"),
-        fidelity=fidelity,
-    )
+    return Reconstruction(point=point, overlaps=overlaps, fidelity=fidelity)
 
 
 def w_direct_samples(overlap_samples: np.ndarray) -> np.ndarray:
@@ -412,15 +398,17 @@ class SplitHalves:
     """What every split-half witness variant is scored from.
 
     ``first`` and ``second`` hold the point reconstructions of the first and
-    second halves (see :func:`point_reconstructions`); ``boot`` bootstraps
-    the second halves.  Corrected variants are present only when the halves
-    were built with null-operation data.
+    second halves (see :func:`point_reconstructions`), ``first_fits`` the
+    first halves' point fits (target, then null), and ``boot`` bootstraps
+    the second halves and holds their point fits.  Corrected variants are present
+    only when the halves were built with null-operation data.
     """
 
     first: dict
     second: dict
     boot: ExperimentBootstrap
     samples_per_config: int
+    first_fits: list
 
 
 def _halve(datasets: dict):
@@ -466,6 +454,7 @@ def split_half_bootstrap(
         second=point_reconstructions(fits2, null_fits2),
         boot=boot,
         samples_per_config=int(some_group.n_bins),
+        first_fits=fits1 + (null_fits1 or []),
     )
 
 
@@ -552,8 +541,7 @@ def summary_table(
     ``rec`` is the experiment's :func:`build_reconstruction`, built here when
     the caller has none.
     """
-    fits = boot.fits
-    ref_point = float(np.median([f.ref_rate for f in fits]))
+    ref_point = float(np.median([f.ref_rate for f in boot.fits]))
     ref_samples = (1.0 + np.median(boot.ref_rates, axis=1)) / 2.0
     out = {
         "true_noisy_gate": exp.true_avg_fidelity(),
@@ -571,7 +559,7 @@ def summary_table(
             target_u = np.eye(2, dtype=complex)
         out["qpt"] = {"estimate": avg_fidelity(qpt_superop, target_u), "ci": None}
     if exp.target_name == "w":
-        a = overlaps_from_fits(fits)
+        a = rec.overlaps.values
         out["w_direct"] = _fidelity_entry(
             w_fidelity_direct(a[0], a[4], a[5]),
             w_direct_samples(boot.overlap_samples()),

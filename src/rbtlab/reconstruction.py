@@ -14,6 +14,7 @@ at inversion time; physicality is a downstream diagnostic, not a prior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,16 +82,14 @@ class OverlapVector:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """A reconstructed unital channel with its corrections and fidelities;
-    ``null_unital`` is the null-operation reconstruction the corrections
-    invert."""
+    """A reconstructed unital channel with its corrections and fidelities:
+    ``point`` maps each variant to its point reconstruction, as
+    ``pipeline.point_reconstructions`` builds it (``raw``, and given
+    null-operation data ``null`` and the ``left``/``right`` corrections)."""
 
-    unital: np.ndarray
+    point: dict
     overlaps: OverlapVector
-    corrected_left: np.ndarray | None = None
-    corrected_right: np.ndarray | None = None
     fidelity: dict = field(default_factory=dict)
-    null_unital: np.ndarray | None = None
 
 
 def predictor_matrix(basis=None) -> np.ndarray:
@@ -107,14 +106,9 @@ def predictor_matrix(basis=None) -> np.ndarray:
     return p.astype(float)
 
 
-_DEFAULT_PREDICTOR = None
-
-
+@lru_cache(maxsize=1)
 def default_predictor() -> np.ndarray:
-    global _DEFAULT_PREDICTOR
-    if _DEFAULT_PREDICTOR is None:
-        _DEFAULT_PREDICTOR = predictor_matrix()
-    return _DEFAULT_PREDICTOR
+    return predictor_matrix()
 
 
 def reconstruct_unital_batch(overlaps: np.ndarray) -> np.ndarray:
@@ -136,8 +130,6 @@ def reconstruct_unital_batch(overlaps: np.ndarray) -> np.ndarray:
 
 def reconstruct_unital(overlaps) -> np.ndarray:
     """:func:`reconstruct_unital_batch` of one overlap vector."""
-    if isinstance(overlaps, OverlapVector):
-        overlaps = overlaps.values
     return reconstruct_unital_batch(np.asarray(overlaps, dtype=float)[None, :])[0]
 
 

@@ -151,9 +151,6 @@ class DecayDataset:
     def lengths(self) -> list:
         return sorted(self.groups, key=lambda n: (math.isinf(n), n))
 
-    def finite_lengths(self) -> list:
-        return [n for n in self.lengths() if not math.isinf(n)]
-
     def means(self) -> dict:
         return {n: g.mean() for n, g in self.groups.items()}
 
@@ -180,16 +177,16 @@ def _survival_probabilities(
     gates = np.stack([noise.apply(e.superop) for e in a4_elements()])
     batches: dict = {}
     for i, seq in enumerate(seqs):
-        batches.setdefault((len(seq.compiled), seq.n_target_slots), []).append(i)
+        batches.setdefault(len(seq.compiled), []).append(i)
     out = np.empty(len(seqs))
-    for (n_gates, n_slots), rows in batches.items():
-        if n_slots and target is None:
+    for n_gates, rows in batches.items():
+        if n_gates > 1 and target is None:
             raise ValueError("sequence has target slots but no target was given")
         compiled = np.array([seqs[i].compiled for i in rows])
         state = np.repeat(spam.prep.reshape(1, 4, 1), len(rows), axis=0)
         for pos in range(n_gates):
             state = gates[compiled[:, pos] - 1] @ state
-            if pos < n_slots:
+            if pos < n_gates - 1:
                 state = applied_target @ state
         raw = (state.reshape(-1, 1, 4) @ spam.meas.reshape(4, 1)).reshape(-1)
         raw = np.minimum(np.maximum(raw, 0.0), 1.0)
@@ -313,14 +310,14 @@ def sample_qpt_dataset(
     shots: int = 10_000,
     bin_size: int = 100,
     seed: int = 0,
-    label: str = "qpt",
 ) -> QptDataset:
     """Shot-sampled tomography of a channel with readout assignment error,
-    row ``r`` drawn by :func:`_draw_counts` from the stream ``(seed, label, r)``."""
+    row ``r`` drawn by :func:`_draw_counts` from the stream
+    ``(seed, QptDataset.label, r)``."""
     if shots % bin_size:
         raise ValueError(f"shots={shots} not divisible by bin_size={bin_size}")
     truth = qpt_true_expectations(channel, assignment_fidelity).ravel()
     bins = np.empty((len(truth), shots // bin_size))
-    _draw_counts(bins, np.clip(0.5 * (1.0 + truth), 0.0, 1.0).tolist(), bin_size, seed, (label,))
+    _draw_counts(bins, np.clip(0.5 * (1.0 + truth), 0.0, 1.0).tolist(), bin_size, seed, (QptDataset.label,))
     bins /= bin_size
-    return QptDataset(bins, label)
+    return QptDataset(bins)

@@ -17,7 +17,7 @@ compiled alternating form ``[C_a1, target, C_a2, target, ..., C_a(n+1)]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -50,31 +50,31 @@ PAPER_REPEATS = {1: 12, INFINITE: 12}
 class RbtSequence:
     """One compiled sequence.
 
-    ``compiled`` lists the group-gate indices in chronological order; for an
-    interleaved sequence the target is applied between consecutive entries,
-    so there are ``len(compiled) - 1`` target slots.  Infinite-length
-    surrogates carry no target slots.
+    ``compiled`` lists the group-gate indices in chronological order, and the
+    target is applied between consecutive entries, so there are
+    ``len(compiled) - 1`` target slots: ``n`` for an interleaved sequence of
+    length ``n``, none for an infinite-length surrogate's single gate.
 
     The fields are slots: a default run holds 21,600 sequences, and each
-    takes 88 bytes so, against 184 with an instance ``__dict__``
+    takes 72 bytes so, against 56 and a 280-byte ``__dict__`` without slots
     (``sys.getsizeof`` of the object and its dict, CPython 3.11.7).
     """
 
-    basis_index: int | None
     length: float
     randomizers: tuple
     compiled: tuple
-    n_target_slots: int
     repeat: int = 0
     # The row's ``tuple_id`` in sequences.json and dataset.csv, built once:
     # every simulation and every dataset.csv read looks up every row's id.
     row_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_target_slots not in (0, len(self.compiled) - 1):
-            raise ValueError("target slots must interleave the compiled gates")
         base = "-".join(map(str, self.randomizers))
         object.__setattr__(self, "row_id", f"{base}#{self.repeat}" if self.repeat else base)
+
+    @property
+    def n_target_slots(self) -> int:
+        return len(self.compiled) - 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class SequenceSet:
     sequences: tuple
     basis_index: int | None
     lengths: tuple
-    repeats: dict = field(default_factory=dict)
 
     def counts_by_length(self) -> dict:
         out = {}
@@ -113,10 +112,9 @@ def _fold(run: list, table: GroupTable) -> int:
     return acc
 
 
-def compile_cells(
-    cells: list, basis_index: int, randomizers: tuple, repeat: int = 0
-) -> RbtSequence:
-    """Fold adjacent gate runs of concatenated unit cells into single gates.
+def compile_cells(cells: list, randomizers: tuple, repeat: int = 0) -> RbtSequence:
+    """Fold adjacent gate runs of concatenated unit cells into single gates,
+    one per target slot and one after the last.
 
     The folding is pure integer table arithmetic, so the compiled sequence
     reproduces the uncompiled product exactly for any channel substituted
@@ -133,13 +131,10 @@ def compile_cells(
         else:
             run.append(tok)
     compiled.append(_fold(run, table))
-    n = len(cells)
     return RbtSequence(
-        basis_index=basis_index,
-        length=float(n),
+        length=float(len(cells)),
         randomizers=tuple(randomizers),
         compiled=tuple(compiled),
-        n_target_slots=n,
         repeat=repeat,
     )
 
@@ -147,32 +142,19 @@ def compile_cells(
 def make_sequence(randomizers, basis_index: int, repeat: int = 0) -> RbtSequence:
     """Build and compile the overlap sequence for a randomizer tuple."""
     cells = [unit_cell(r, basis_index) for r in randomizers]
-    return compile_cells(cells, basis_index, tuple(randomizers), repeat=repeat)
+    return compile_cells(cells, tuple(randomizers), repeat=repeat)
 
 
-def infinite_length_surrogate(basis_index: int | None = None, repeats: int = 1) -> SequenceSet:
+def infinite_length_surrogate(repeats: int = 1) -> SequenceSet:
     """The twelve single-gate sequences whose averaged survival estimates the
     decay asymptote: applying every group element once twirls the prepared
     state onto the maximally mixed state."""
-    seqs = []
-    for rep in range(repeats):
-        for g in range(1, a4_table().order + 1):
-            seqs.append(
-                RbtSequence(
-                    basis_index=basis_index,
-                    length=INFINITE,
-                    randomizers=(g,),
-                    compiled=(g,),
-                    n_target_slots=0,
-                    repeat=rep,
-                )
-            )
-    return SequenceSet(
-        sequences=tuple(seqs),
-        basis_index=basis_index,
-        lengths=(INFINITE,),
-        repeats={INFINITE: repeats},
-    )
+    seqs = [
+        RbtSequence(length=INFINITE, randomizers=(g,), compiled=(g,), repeat=rep)
+        for rep in range(repeats)
+        for g in range(1, a4_table().order + 1)
+    ]
+    return SequenceSet(sequences=tuple(seqs), basis_index=None, lengths=(INFINITE,))
 
 
 def exhaustive_set(
@@ -183,13 +165,12 @@ def exhaustive_set(
 
     With the default repeat counts this yields 12 + 144 + 1,728 + 12 = 1,896
     distinct sequences and 2,160 total runs per overlap experiment.  Each set
-    is built once per process; each call gets its own ``repeats`` dict, and
-    the sequences are immutable.
+    is built once per process and every call with the same arguments gets
+    that one immutable set.
     """
     if repeats is None:
-        repeats = dict(PAPER_REPEATS)
-    shared = _build_exhaustive_set(basis_index, tuple(lengths), frozenset(repeats.items()))
-    return replace(shared, repeats=dict(shared.repeats))
+        repeats = PAPER_REPEATS
+    return _build_exhaustive_set(basis_index, tuple(lengths), frozenset(repeats.items()))
 
 
 @lru_cache(maxsize=None)
@@ -201,10 +182,5 @@ def _build_exhaustive_set(basis_index, lengths, repeat_items):
             for tup in product(range(1, a4_table().order + 1), repeat=int(n)):
                 seqs.append(make_sequence(tup, basis_index, repeat=rep))
     inf_rep = int(repeats.get(INFINITE, 1))
-    seqs.extend(infinite_length_surrogate(basis_index, repeats=inf_rep).sequences)
-    return SequenceSet(
-        sequences=tuple(seqs),
-        basis_index=basis_index,
-        lengths=lengths + (INFINITE,),
-        repeats=repeats,
-    )
+    seqs.extend(infinite_length_surrogate(repeats=inf_rep).sequences)
+    return SequenceSet(sequences=tuple(seqs), basis_index=basis_index, lengths=lengths + (INFINITE,))

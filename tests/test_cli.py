@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -562,6 +563,41 @@ class TestNumericalFailure:
         assert run_cli("simulate", "--config", config, "--out", staged) == 0
         assert run_cli("witness", "--config", config, "--out", staged) == 3
         assert "ill-conditioned" in capsys.readouterr().err
+        assert [p.name for p in staged.iterdir()] == ["dataset.csv"]
+
+    @pytest.mark.parametrize(
+        "label, command, message",
+        [
+            ("hadamard/overlap-3", "fit", "1 joint fits failed to converge"),
+            ("hadamard/overlap-3/half1", "witness", "1 joint fits of the first halves failed"),
+            ("null/overlap-2/half2", "witness", "1 joint fits of the second halves failed"),
+        ],
+        ids=["main", "half1", "null-half2"],
+    )
+    def test_nonconverged_point_fit_exits_3(
+        self, tiny_config, tmp_path, capsys, monkeypatch, label, command, message
+    ):
+        # A split-half point fit that did not converge was scored as if it
+        # had, and the witness stage exited 0.
+        from rbtlab import pipeline
+
+        joint_fits = pipeline.joint_fits
+
+        def flagged(pairs):
+            fits = joint_fits(pairs)
+            return [
+                dataclasses.replace(fit, converged=False) if overlap.label == label else fit
+                for (overlap, _), fit in zip(pairs, fits)
+            ]
+
+        fused, staged = tmp_path / "fused", tmp_path / "staged"
+        assert run_cli("simulate", "--config", tiny_config, "--out", staged) == 0
+        monkeypatch.setattr(pipeline, "joint_fits", flagged)
+        assert run_cli("pipeline", "--config", tiny_config, "--out", fused) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert list(fused.iterdir()) == []
+        assert run_cli(command, "--config", tiny_config, "--out", staged) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
         assert [p.name for p in staged.iterdir()] == ["dataset.csv"]
 
     def test_singular_bootstrap_null_estimate_exits_3(
@@ -1366,7 +1402,8 @@ class TestBytePin:
     """The bytes of the tiny config's artifacts: the nine fused ``pipeline``
     files, the ``bootstrap.npz`` of a staged ``fit`` on them and a small
     ``pulse-scan``; and the same fused files and ``bootstrap.npz`` for the
-    identity target, which has no null data.  The hashes were recorded with
+    identity target, which has no null data; and the W target's fused
+    ``summary.json``.  The hashes were recorded with
     numpy 2.4.6 on x86-64 Linux; a change that alters artifact bytes on
     purpose updates them and names the changed artifacts."""
 
@@ -1397,6 +1434,9 @@ class TestBytePin:
         "bootstrap.npz": "71bcdaf24e0c88ed44dad46f16495ab13b879c9e1266646cf9c94b6afb28d00f",
     }
 
+    # The W target's summary.json, the one artifact with a ``w_direct`` entry.
+    W_SUMMARY_SHA256 = "cd8d66013c9152379c4083d6b3ea17e299320a21506438466387d81e75a9cc63"
+
     @staticmethod
     def fused_and_fit_hashes(config, tmp_path) -> dict:
         fused, staged = tmp_path / "fused", tmp_path / "staged"
@@ -1420,3 +1460,10 @@ class TestBytePin:
         config.write_text(json.dumps(dict(TINY_CONFIG, target={"name": "identity"})))
         got = self.fused_and_fit_hashes(config, tmp_path)
         assert got == self.IDENTITY_SHA256, f"numpy {np.__version__}"
+
+    def test_w_summary_hash(self, tmp_path):
+        config = tmp_path / "w.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, target={"name": "w"})))
+        assert run_cli("pipeline", "--config", config, "--out", tmp_path / "fused") == 0
+        got = hashlib.sha256((tmp_path / "fused" / "summary.json").read_bytes()).hexdigest()
+        assert got == self.W_SUMMARY_SHA256, f"numpy {np.__version__}"

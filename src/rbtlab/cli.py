@@ -836,6 +836,8 @@ def _witness_stage(cfg, out: Path, written: list, exp: Experiment, qpt):
         for variant in variants:
             report = rbt_witness_report(halves, variant=variant)
             payload["rbt"][variant] = _witness_payload(report)
+            if variant != "raw":
+                payload["rbt"][variant]["null_ill_conditioned"] = halves.boot.null_ill_conditioned
     if qpt is not None:
         report = qpt_witness_report(
             qpt,

@@ -132,13 +132,16 @@ def overlap(c: np.ndarray, e: np.ndarray) -> float:
     return float(np.tensordot(c, e, axes=2))
 
 
-def avg_fidelity(e: np.ndarray, target: np.ndarray) -> float:
-    """Average gate fidelity of channel ``e`` to a target unitary.
+def avg_fidelity(e: np.ndarray, target: np.ndarray):
+    """Average gate fidelity to a target unitary of one transfer matrix (a
+    float), or of each of a (b, 4, 4) stack (an array of b).
 
     Uses the standard overlap relation ``F = (a + d) / (d**2 + d)`` with
-    ``d = 2``, i.e. ``(overlap + 2) / 6``.
+    ``d = 2``, i.e. ``(overlap + 2) / 6``.  Each member of a C-ordered stack
+    gets the bits of its own fidelity.
     """
-    return (overlap(superop_from_unitary(target), e) + 2.0) / 6.0
+    f = (np.einsum("...ij,ij->...", e, superop_from_unitary(target)) + 2.0) / 6.0
+    return f if np.ndim(f) else float(f)
 
 
 def choi(e: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .fitting import (  # noqa: F401
 from .groups import rotation_unitary
 from .pauli import avg_fidelity, superop_from_unitary, unital_part
 from .reconstruction import (
+    MAX_NULL_CONDITION,
     ChannelInversionError,
     OverlapVector,
     Reconstruction,
@@ -51,7 +52,6 @@ from .witness import (
     eig_multiplicity,
     evaluate_witness,
     split_halves,
-    witness_expectation_batch,
 )
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "ExperimentBootstrap",
     "experiment_bootstrap",
     "percentile_ci",
-    "fidelity_samples",
     "w_direct_samples",
     "build_reconstruction",
     "SplitHalves",
@@ -255,8 +254,11 @@ class ExperimentBootstrap:
     refit did not converge; those replications stay in every sample array.
     The reconstruction stacks, of shape (replications, 4, 4), are derived
     from the rates: the unital samples and, given null-operation rates, the
-    left/right corrected samples.  The fused pipeline and a staged
-    ``reconstruct`` that reloads ``fit``'s bootstrap both derive them here.
+    left/right corrected samples.  ``null_ill_conditioned`` counts the
+    replications whose null-operation estimate has a condition number above
+    ``MAX_NULL_CONDITION``, which the point path refuses to invert; they
+    stay in the corrected samples.  The fused pipeline and a staged
+    ``reconstruct`` that reloads ``fit``'s bootstrap both derive these here.
     """
 
     fits: list
@@ -269,23 +271,26 @@ class ExperimentBootstrap:
     unital: np.ndarray = field(init=False)
     corrected_left: np.ndarray | None = field(init=False)
     corrected_right: np.ndarray | None = field(init=False)
+    null_ill_conditioned: int | None = field(init=False)
 
     def __post_init__(self):
         unital = reconstruct_unital_batch(decay_to_overlap(self.rates))
-        left = right = None
+        left = right = ill = None
         if self.null_rates is not None:
             null = reconstruct_unital_batch(decay_to_overlap(self.null_rates))
+            cond = np.linalg.cond(null)
             try:
                 inv = np.linalg.inv(null)
             except np.linalg.LinAlgError:
-                cond = np.linalg.cond(null)
                 worst = int(np.argmax(cond))
                 raise ChannelInversionError(float(cond[worst]), replication=worst) from None
             left = np.einsum("bij,bjk->bik", inv, unital)
             right = np.einsum("bij,bjk->bik", unital, inv)
+            ill = int(np.count_nonzero(~(cond <= MAX_NULL_CONDITION)))
         object.__setattr__(self, "unital", unital)
         object.__setattr__(self, "corrected_left", left)
         object.__setattr__(self, "corrected_right", right)
+        object.__setattr__(self, "null_ill_conditioned", ill)
 
     def overlap_samples(self) -> np.ndarray:
         return decay_to_overlap(self.rates)
@@ -351,12 +356,6 @@ def experiment_bootstrap(
     )
 
 
-def fidelity_samples(stack: np.ndarray, target_unitary: np.ndarray) -> np.ndarray:
-    """Average-fidelity samples of a (batch, 4, 4) reconstruction stack."""
-    ideal = superop_from_unitary(target_unitary)
-    return (np.einsum("bij,ij->b", stack, ideal) + 2.0) / 6.0
-
-
 def _fidelity_entry(point: float, samples: np.ndarray) -> dict:
     lo, hi = percentile_ci(samples)
     return {"estimate": float(point), "ci": [float(lo), float(hi)]}
@@ -374,13 +373,14 @@ def build_reconstruction(
     fidelity = {
         variant: _fidelity_entry(
             avg_fidelity(point[variant], target_u),
-            fidelity_samples(boot.stack(variant), target_u),
+            avg_fidelity(boot.stack(variant), target_u),
         )
         for variant in ("raw", "left", "right")
         if variant in point
     }
     if "null" in point:
         fidelity["null_condition_number"] = float(np.linalg.cond(point["null"]))
+        fidelity["null_ill_conditioned"] = boot.null_ill_conditioned
     return Reconstruction(point=point, overlaps=overlaps, fidelity=fidelity)
 
 
@@ -463,7 +463,7 @@ def _witness_report(e1, e2, stack: np.ndarray, samples_per_config: int) -> Witne
     expectation under ``e2`` and the percentile CI of its expectations under
     the bootstrap ``stack`` of transfer matrices, one per replication."""
     witness = build_witness(e1)
-    lo, hi = percentile_ci(witness_expectation_batch(witness, stack))
+    lo, hi = percentile_ci(evaluate_witness(witness, stack))
     return WitnessReport(
         witness=witness,
         expectation=evaluate_witness(witness, e2),

@@ -26,6 +26,7 @@ __all__ = [
     "OverlapVector",
     "Reconstruction",
     "ChannelInversionError",
+    "MAX_NULL_CONDITION",
     "predictor_matrix",
     "default_predictor",
     "reconstruct_unital",
@@ -36,6 +37,11 @@ __all__ = [
     "MIN_VISIBILITY",
     "hinton_records",
 ]
+
+# The largest condition number of a null-operation estimate that a
+# correction inverts; the point path refuses a larger one, and the bootstrap
+# counts its replications above it.
+MAX_NULL_CONDITION = 1e6
 
 # The least readout visibility |2f - 1| that an assumed assignment fidelity
 # f may leave linear-inversion tomography to rescale by.
@@ -137,7 +143,7 @@ def corrected(e_prime: np.ndarray, null_prime: np.ndarray, side: str) -> np.ndar
     """Remove the randomizing-gate error channel estimated via the null
     operation, composing its inverse on the requested side."""
     cond = float(np.linalg.cond(null_prime))
-    if not np.isfinite(cond) or cond > 1e6:
+    if not cond <= MAX_NULL_CONDITION:  # inf and NaN too
         raise ChannelInversionError(cond)
     inv = np.linalg.inv(null_prime)
     if side == "left":

@@ -127,10 +127,9 @@ class LengthGroup:
         return self.bins.shape[1]
 
     def mean(self) -> float:
-        """The mean of every bin of the group.  It is taken over a contiguous
-        copy when ``bins`` is a strided view (a split half), because numpy's
-        summation order, and so the last bit, depends on the memory layout."""
-        return float(np.ascontiguousarray(self.bins).mean())
+        """The mean of every bin of the group, taken in place; a strided
+        view (a split half) may round in its last bit unlike its copy."""
+        return float(self.bins.mean())
 
 
 @dataclass(frozen=True)

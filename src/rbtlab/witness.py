@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import choi, min_eig_and_vector
+from .pauli import _CHOI_BLOCKS, choi, min_eig_and_vector
 from .sampling import DecayDataset, LengthGroup, QptDataset
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "split_halves",
     "build_witness",
     "evaluate_witness",
-    "witness_expectation_batch",
     "eig_multiplicity",
 ]
 
@@ -50,11 +49,8 @@ def split_halves(ds):
     counts are rejected.
 
     The halves of a :class:`DecayDataset` or a :class:`QptDataset` are
-    read-only views of its bins, so splitting copies no data.  A length
-    group's mean is taken over a contiguous copy of it
-    (:meth:`LengthGroup.mean`), so a half reads bit for bit as its copy; the
-    row means of a tomography half (:meth:`QptDataset.expectations`) need
-    no copy, since each row of a half is contiguous.
+    read-only views of its bins, so splitting copies no data, and every
+    mean of a half is taken over the view in place.
     """
     if isinstance(ds, QptDataset):
         return tuple(dataclasses.replace(ds, bins=half) for half in _split_bins(ds.bins))
@@ -92,18 +88,18 @@ def eig_multiplicity(e1: np.ndarray, tol: float = 1e-9) -> int:
     return int((vals <= vals[0] + tol).sum())
 
 
-def evaluate_witness(w: np.ndarray, e2: np.ndarray) -> float:
-    """Expectation value ``w+ J(e2) w`` (real, since the Choi state is
-    Hermitian); negative values certify a nonphysical estimate."""
+def evaluate_witness(w: np.ndarray, e: np.ndarray):
+    """Expectation value ``w+ J(e) w`` of one transfer matrix (a float), or
+    of each of a (b, 4, 4) stack (an array of b); negative values certify a
+    nonphysical estimate.
+
+    The Choi state is ``sum e[i, j] B[i, j]`` over sixteen Hermitian
+    blocks ``B``, so the expectation is ``e`` contracted with the real
+    matrix of the ``w+ B[i, j] w``.  Each member of a C-ordered stack gets
+    the bits of its own expectation.
+    """
     w = np.asarray(w, dtype=complex)
-    return float(np.real(w.conj() @ choi(e2) @ w))
-
-
-def witness_expectation_batch(w: np.ndarray, superops: np.ndarray) -> np.ndarray:
-    """``w+ J(E) w`` for a (batch, 4, 4) stack of transfer matrices."""
-    from .pauli import _CHOI_BLOCKS
-
-    w = np.asarray(w, dtype=complex)
-    quad = np.einsum("a,ijab,b->ij", w.conj(), _CHOI_BLOCKS, w)
-    return np.real(np.einsum("bij,ij->b", np.asarray(superops, dtype=float), quad))
+    quad = np.einsum("a,ijab,b->ij", w.conj(), _CHOI_BLOCKS, w).real
+    x = np.einsum("...ij,ij->...", np.asarray(e, dtype=float), quad)
+    return x if np.ndim(x) else float(x)
 

@@ -31,7 +31,6 @@ from rbtlab.groups import (
 from rbtlab.pauli import avg_fidelity, overlap, superop_from_unitary
 from rbtlab.pipeline import (
     experiment_bootstrap,
-    fidelity_samples,
     fit_overlaps,
     qpt_witness_report,
     rbt_witness_report,
@@ -248,7 +247,7 @@ def test_criterion_5_hadamard_end_to_end(hadamard_run):
     cis = {}
     ci_ok = True
     for side, stack in (("left", boot.corrected_left), ("right", boot.corrected_right)):
-        lo, hi = np.percentile(fidelity_samples(stack, exp.target_unitary), [2.5, 97.5])
+        lo, hi = np.percentile(avg_fidelity(stack, exp.target_unitary), [2.5, 97.5])
         cis[side] = (lo, hi)
         ci_ok &= bool(lo <= truth <= hi)
     elapsed = time.time() - start
@@ -382,7 +381,7 @@ def test_criterion_8_w_direct_ci_strictly_wider(w_depol_run, w_boot):
     exp, boot = w_depol_run, w_boot
     direct = np.percentile(w_direct_samples(boot.overlap_samples()), [2.5, 97.5])
     full = np.percentile(
-        fidelity_samples(boot.unital, exp.target_unitary), [2.5, 97.5]
+        avg_fidelity(boot.unital, exp.target_unitary), [2.5, 97.5]
     )
     direct_width = direct[1] - direct[0]
     full_width = full[1] - full[0]

@@ -318,6 +318,25 @@ class TestPipeline:
         )
         assert (out1 / "dataset.csv").read_bytes() != (out2 / "dataset.csv").read_bytes()
 
+    @pytest.mark.parametrize("bound", [None, 0.0], ids=["default-bound", "every-replication"])
+    def test_reports_count_ill_conditioned_null_replications(
+        self, tiny_config, tmp_path, monkeypatch, bound
+    ):
+        # reconstruction.json counts the main bootstrap's replications past
+        # the null condition bound, and each corrected witness report those
+        # of the second halves' bootstrap; a bound of 0 counts every one.
+        from rbtlab import pipeline
+
+        if bound is not None:
+            monkeypatch.setattr(pipeline, "MAX_NULL_CONDITION", bound)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", tiny_config, "--out", out) == 0
+        want = 0 if bound is None else TINY_CONFIG["bootstrap"]["replications"]
+        fidelity = json.loads((out / "reconstruction.json").read_text())["fidelity"]
+        assert fidelity["null_ill_conditioned"] == want
+        rbt = json.loads((out / "witness.json").read_text())["rbt"]
+        assert [rbt[v].get("null_ill_conditioned") for v in ("raw", "left", "right")] == [None, want, want]
+
     def test_reports_embed_config_hash(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         run_cli("pipeline", "--config", tiny_config, "--out", out)
@@ -1410,32 +1429,32 @@ class TestBytePin:
     SHA256 = {
         "sequences.json": "a43a8dd86421f3a6665e5c3120b71651e648b0574051539bdc6db4099cfe2625",
         "dataset.csv": "65f09b58ad83cde973e099ea057c556d193043dabbe9da995d1225053e8f4e1c",
-        "fits.json": "77b67ad55c9a8f0baed664aa6fd62d629e56a5d57d340aecc455ca97698a374b",
-        "decay_curves.csv": "8c36fc36dc9e18f63c9eed128379dae84a5915fe805f23ec045135cd0f985242",
-        "reconstruction.json": "e08d4b2ab11af3b984caebb461de0801fb8946664cc52b43817f7a51c70436fe",
-        "hinton.csv": "14edd4f78d99aa7a3da81050e93b4dc599a4541e8706c07a3c94e2cdfd378ccc",
-        "witness.json": "5d74abe5832885ca6a977082e9edec97976ba685f1d51316a6a180f4d18a5c6d",
-        "negativity.csv": "3e1865bd523056b6cb7a5ff16231deb64c6def8282d7efd24ed4c3fab2973619",
-        "summary.json": "fb93faf817b8f6df1a91698d06769774c57338c63ba780042af65ca4a7c0daf0",
-        "bootstrap.npz": "1ac023324a153753e3a036b176e5fdf2bb6d6951639f5b7bfdf0c232b7e7349c",
-        "pulse_scan.csv": "3ede7275631c80b721db8873b715ee66d507ed73ba7c0f32104dab193e8bce10",
+        "fits.json": "390191453a88eeec88c1498c079ef53da47ab7da4d6de8cae25f70043df61da4",
+        "decay_curves.csv": "4c3f06b785a902ef57b9ba814de7a362e628ff48cf9c91de6bb3046dcd1c0059",
+        "reconstruction.json": "25ad715f8be76454920b2ac0a51846897602fcc1acc261b66f66ac0bb663144d",
+        "hinton.csv": "fea20af0500db6398f2bf9d38b48cf06bdcc252f18e1cc19dd45fb4716feebc1",
+        "witness.json": "e1b1148707e5954016d5c6002366cc341b2d2328b16d23ca229cc4671f1e48db",
+        "negativity.csv": "61984aa4b405173844c40bae01abdaf12c4e22fdd34cd2430619612de5b48f82",
+        "summary.json": "9b969aabeb800ab5df11a6109bb3b7938a564e1a693d1ad5566dc9f70ba62cb7",
+        "bootstrap.npz": "3ec2e210e69dafdb449887eb9f2ce375ef106cac87904cfc6a40e13181b7bf50",
+        "pulse_scan.csv": "641aa57714ac3e60dce3d78dfadcda2a00c677fb3e9cf78314577d22c32a3e05",
     }
 
     IDENTITY_SHA256 = {
         "sequences.json": "7f83970f17ac0d1f51ea52e1b22c08c85e3d5fe7f86b7bb9c58d97634f788f89",
         "dataset.csv": "1613613589b2f06199f0ef870899cf442313e47c28fc2130dc80f3690d862930",
-        "fits.json": "620603d406ab956c6297f0bb43b5fb4748635aca71ffb7ec7df30e9fdf1e5ce7",
-        "decay_curves.csv": "e7e13db60a3e524715da0738543507e518ce0aa6879e7fe6c1150b160666c1c2",
-        "reconstruction.json": "67152a64444eab50c0f79d03d343ab8e2677381916f6f27dc2c54957147a13d2",
-        "hinton.csv": "6bd99f27c0c1b7afe766a2be596c4ce6737bc34baed5922ae100b0be2569997c",
-        "witness.json": "1cec3a2d07d7b2031e47db6316fd1f45a693c445415232547275f09faa5a7c92",
-        "negativity.csv": "de8148d98fa1f953622c348f06cd2561dc0b0ecdda0cddc6f7f2d62620e34e7c",
-        "summary.json": "b8e0267115ba9b3c2fca5983643c3cb944c4cce2f963295a5a27513999e30cfc",
-        "bootstrap.npz": "71bcdaf24e0c88ed44dad46f16495ab13b879c9e1266646cf9c94b6afb28d00f",
+        "fits.json": "a5b324b8c1f9dd5379a862744064cd6a84738c410e8e3eb726d06346f051d8fe",
+        "decay_curves.csv": "32fc41966890bac6718b9b1f25b8ebf51298bbaa39f73f71d3e248204ec58dd9",
+        "reconstruction.json": "54d81ad3fa0779c630e14a82700100007dcb6435de2fa677e66e54de51014325",
+        "hinton.csv": "092ae10f61fa8ca6783147728d16756f54b57d49340f53e21f3e5f1e2033281c",
+        "witness.json": "21ca7da52ea7c881c026594dcaf95a100c1fb56370f8623e02eea22c38d63f74",
+        "negativity.csv": "4b8cd22a04b45cda9c59114076352c003d4cf5a6d2916d30024fb282fb49f4e3",
+        "summary.json": "60f30b24f0468ba39290d7c963219b3d04989045688af667b280644cfb0fb389",
+        "bootstrap.npz": "7a8fc1896b98a18706c9b91182c45d0e0bd1f8c70958e209516d192395e481ba",
     }
 
     # The W target's summary.json, the one artifact with a ``w_direct`` entry.
-    W_SUMMARY_SHA256 = "cd8d66013c9152379c4083d6b3ea17e299320a21506438466387d81e75a9cc63"
+    W_SUMMARY_SHA256 = "73e57ba7ff915b92f75cd24c0cd14ebcf9497071625b166b530082e1a706c4cc"
 
     @staticmethod
     def fused_and_fit_hashes(config, tmp_path) -> dict:

@@ -1,8 +1,9 @@
 """Every module's ``__all__`` names something, and the package re-exports
 only names its modules declare public, so a deleted name leaves no stale
-entry behind.  Every module uses what it imports, and every private
-module-level function or class is referenced beyond its own definition, so a
-deletion leaves no orphan import or helper behind."""
+entry behind.  Every module uses what it imports (a function, what it
+imports itself), and every private module-level function or class is
+referenced beyond its own definition, so a deletion leaves no orphan import
+or helper behind."""
 
 import ast
 import importlib
@@ -44,23 +45,39 @@ KEPT_FOR_TRACER = {
 }
 
 
+def imports_by_scope(node, scope):
+    """``(scope, import)`` for every import under ``node``: the scope of an
+    import inside a function is the innermost such function, else ``scope``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from imports_by_scope(child, inner)
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
 def test_every_import_is_used(name):
+    """A module-level import is used somewhere in the module (or exported
+    through ``__all__``); a function-local one within its own function."""
     source = (PACKAGE / f"{name}.py").read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # names a module exports through __all__
+    exported = set()
+    for node in tree.body:
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
-            used.update(elt.value for elt in node.value.elts)
+            exported.update(elt.value for elt in node.value.elts)
     unused = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
-            for alias in node.names:
-                bound = (alias.asname or alias.name).split(".")[0]
-                if bound not in used:
-                    unused.add(bound)
-                    assert lines[node.lineno - 1].endswith("# noqa: F401"), (name, bound)
+    for scope, node in imports_by_scope(tree, tree):
+        if getattr(node, "module", "") == "__future__":
+            continue
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        if scope is tree:
+            used |= exported
+        for alias in node.names:
+            bound = (alias.asname or alias.name).split(".")[0]
+            if bound not in used:
+                unused.add(bound)
+                assert lines[node.lineno - 1].endswith("# noqa: F401"), (name, bound)
     assert unused == {n for module, n in KEPT_FOR_TRACER if module == name}
 
 

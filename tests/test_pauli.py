@@ -177,6 +177,18 @@ class TestAvgFidelity:
             f = avg_fidelity(e, random_unitary(rng))
             assert -1e-12 <= f <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("size", [1, 7, 2000])
+    def test_stack_equals_each_matrix(self, rng, size):
+        # One formula: a stack's fidelities are its members' own, bit for bit.
+        u = random_unitary(rng)
+        stack = np.stack([random_cptp_superop(rng) for _ in range(min(size, 50))])
+        stack = stack[rng.integers(0, len(stack), size=size)]
+        samples = avg_fidelity(stack, u)
+        assert samples.shape == (size,)
+        each = [avg_fidelity(e, u) for e in stack]
+        assert all(type(f) is float for f in each)
+        assert samples.tobytes() == np.array(each).tobytes()
+
 
 class TestChoi:
     def test_identity_channel(self):

@@ -8,6 +8,7 @@ from rbtlab.pauli import choi, overlap, superop_from_unitary, unital_part
 from rbtlab.pipeline import ExperimentBootstrap
 from rbtlab.reconstruction import (
     ACCESSIBLE_MASK,
+    MAX_NULL_CONDITION,
     ChannelInversionError,
     OverlapVector,
     W_DECOMPOSITION,
@@ -130,6 +131,26 @@ class TestCorrected:
             ExperimentBootstrap([], [], rates, null_rates, rates, counts, counts)
         assert excinfo.value.replication == 3
         assert "of bootstrap replication 3 is ill-conditioned" in str(excinfo.value)
+
+    def test_ill_conditioned_bootstrap_null_estimate_counted(self, rng):
+        # Replication 1's null estimate is invertible but past the bound the
+        # point path refuses (cond 1e7); replication 3's is inside it (cond
+        # 1e5).  The bootstrap keeps both in its corrected samples and counts
+        # the first once.
+        scales = (0.9, 1e-7, 0.5, 1e-5)
+        nulls = [np.diag([1.0, 1.0, 1.0, s]) for s in scales]
+        null_rates = np.array([(overlaps_of(e) - 1.0) / 3.0 for e in nulls])
+        rates = rng.uniform(0.1, 0.3, size=(len(scales), 10))
+        counts = np.zeros(10, dtype=np.int64)
+        boot = ExperimentBootstrap([], [], rates, null_rates, rates, counts, counts)
+        cond = np.linalg.cond(reconstruct_unital_batch(1.0 + 3.0 * null_rates))
+        assert cond[1] > MAX_NULL_CONDITION > cond[3]
+        assert boot.null_ill_conditioned == 1
+        assert np.isfinite(boot.corrected_left).all() and np.isfinite(boot.corrected_right).all()
+        with pytest.raises(ChannelInversionError):
+            corrected(boot.unital[1], reconstruct_unital(1.0 + 3.0 * null_rates[1]), "left")
+        plain = ExperimentBootstrap([], None, rates, None, rates, counts, None)
+        assert plain.null_ill_conditioned is None
 
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
